@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -138,6 +139,7 @@ def cmd_verify(args) -> int:
         if bundle is None:
             raise GeometryError("spectrum check needs an example36 bundle")
         spectra = {}
+        t0 = time.perf_counter()
         for target in ("bbar", "btilde"):
             try:
                 spectra[target] = example36.spectrum_scan(
@@ -145,9 +147,12 @@ def cmd_verify(args) -> int:
             except GeometryError as exc:
                 spectra[target] = {"violation": str(exc)}
                 spectrum_ok = False
+        spectrum_ms = (time.perf_counter() - t0) * 1e3
 
     rep = verify.run_checks(B, manifest, checks, workers=args.workers,
                             spectra=spectra)
+    if spectra is not None:
+        rep.timings_ms["spectrum"] = round(spectrum_ms, 3)
     out = rep.to_dict()
     out["config"] = {"command": "verify", "bundle": args.bundle,
                      "checks": checks, "workers": args.workers}

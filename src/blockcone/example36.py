@@ -417,6 +417,16 @@ def example_build(q: int, seed: int = 0) -> Bundle:
 # vectorized membership machinery for the hyperplane family of Pi_3
 
 
+# A family scan holds every hyperplane rank and every member's dual vector at
+# once; above this many bytes it fails fast instead of allocating (q = 3
+# would need about 15.5 GB).
+FAMILY_SCAN_BUDGET_BYTES = 2 << 30
+
+
+class ResourceError(ValueError):
+    """A computation whose estimated memory exceeds its budget."""
+
+
 class FamilyScanner:
     """Evaluates, for every hyperplane H of Pi_3 missing X at once, whether a
     Sigma'-point u lies in S7 = <blowup(H), p>.
@@ -428,6 +438,14 @@ class FamilyScanner:
     def __init__(self, model: BCModel):
         self.model = model
         sp = model.pi_space
+        # int64 ranks of all hyperplanes, then int64 duals of the members
+        members = sp.n_points - sp.hyperplanes_per_point()
+        need = 8 * sp.n_points + 8 * (sp.m + 1) * members
+        if need > FAMILY_SCAN_BUDGET_BYTES:
+            raise ResourceError(
+                f"family scan over the hyperplanes of {sp} would allocate "
+                f"about {need / 2**30:.1f} GiB, over the "
+                f"{FAMILY_SCAN_BUDGET_BYTES / 2**30:.0f} GiB budget")
         self.ranks = pi_hyperplane_ranks_avoiding_x(model)
         self.duals = pg.unrank_batch(sp, self.ranks)
         xp_vec = model.spread_to_pg_vec(model.xprime_index)

@@ -133,39 +133,51 @@ def dot(space: ProjSpace, u: np.ndarray, v: np.ndarray):
 
 
 def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
-    """Ranks of all canonical dual vectors a with a . vec = 0, enumerated per
-    pivot position in closed form (no normalization pass needed)."""
+    """Ranks of all canonical dual vectors a with a . vec = 0, in closed form.
+
+    With i* the last nonzero coordinate of vec and c = -vec[i*]^-1, a dual
+    with pivot j > i* is incident for every choice of its free coordinates,
+    pivot j = i* never is, and for pivot j < i* (a_j = 1) the coordinate
+    a_{i*} is fixed by distributivity:
+
+        a* = c.v_j + sum over free i of (c.v_i).a_i.
+
+    Per pivot, a* and the rank offsets thresh(j) + sum a_i.q^(m-i) are built
+    as outer sums over the free coordinates in lexicographic order: one add
+    table gather per free coordinate before i* (those after i* leave a*
+    unchanged).  The ranks are offsets + a*.q^(m-i*), ordered by pivot, then
+    lexicographically in the free coordinates."""
     v = np.asarray(vec, dtype=np.int64)
     m, q = space.m, space.q
     f = space.field
-    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
     nz = np.nonzero(v)[0]
     if nz.size == 0:
         raise GeometryError("zero vector")
     istar = int(nz[-1])
+    add, mul = f.add_table, f.mul_table
+    cv = mul[int(f.neg_table[f.inv_table[v[istar]]]), v]
+    digits = np.arange(q, dtype=np.int64)
     w = q ** np.arange(m, -1, -1, dtype=np.int64)
-    out = []
-    for j in range(m + 1):
-        if j == istar:
-            continue
-        if j > istar:
-            base = space._thresh(j)
-            out.append(np.arange(base, base + q ** (m - j), dtype=np.int64))
-            continue
-        free = [i for i in range(j + 1, m + 1) if i != istar]
-        total = q ** len(free)
-        ranks = np.full(total, space._thresh(j), dtype=np.int64)
-        rhs = np.full(total, int(v[j]), dtype=np.int64)  # a_j = 1 contribution
-        span = np.arange(total, dtype=np.int64)
-        for pos, i in enumerate(reversed(free)):
-            digit = (span // q**pos) % q
-            ranks += digit * w[i]
-            if v[i]:
-                rhs = add[rhs, mul[int(v[i]), digit]]
-        a_star = mul[int(neg[inv[v[istar]]]), rhs]
-        ranks += a_star * w[istar]
-        out.append(ranks)
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    out = np.empty(space.hyperplanes_per_point(), dtype=np.int64)
+    lo = 0
+    for j in range(istar):
+        acc = cv[j:j + 1]
+        for i in range(j + 1, istar):
+            acc = np.take(add[acc], mul[cv[i]], axis=1).ravel()
+        offsets = np.full(1, space._thresh(j), dtype=np.int64)
+        for i in range(j + 1, m + 1):
+            if i != istar:
+                offsets = (offsets[:, None] + digits * w[i]).ravel()
+        block = out[lo:lo + offsets.size]
+        np.multiply(acc[:, None], w[istar],
+                    out=block.reshape(acc.size, -1))
+        block += offsets
+        lo += offsets.size
+    for j in range(istar + 1, m + 1):
+        base = space._thresh(j)
+        out[lo:lo + q ** (m - j)] = np.arange(base, base + q ** (m - j))
+        lo += q ** (m - j)
+    return out
 
 
 def hyperplanes_through(space: ProjSpace, vec) -> np.ndarray:

@@ -19,6 +19,7 @@ from .pg import PointSet, ProjSpace, Subspace, span_in
 
 _SAT = 255
 _UNCOVERED_SAMPLE = 32
+_SCAN_CHUNK = 1 << 20
 
 
 @dataclass
@@ -59,6 +60,18 @@ def _point_hyperplane_ranges(n_points: int, workers: int):
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
+def _first_zeros(counts: np.ndarray, k: int) -> list[int]:
+    """The first k indices of zero cells (k at most the number of zeros),
+    scanned in chunks so that no index array over all zeros is built."""
+    found: list[int] = []
+    lo = 0
+    while len(found) < k:
+        hits = np.flatnonzero(counts[lo:lo + _SCAN_CHUNK] == 0)
+        found.extend(lo + int(x) for x in hits[:k - len(found)])
+        lo += _SCAN_CHUNK
+    return found
+
+
 def blocking_check(ps: PointSet, workers: int = 1) -> CoverageResult:
     """Coverage counter per hyperplane rank; blocking iff every counter >= 1."""
     t0 = time.perf_counter()
@@ -74,13 +87,14 @@ def blocking_check(ps: PointSet, workers: int = 1) -> CoverageResult:
         free = _SAT - counts
         np.minimum(shard, free, out=shard)
         counts += shard
-    uncovered = np.flatnonzero(counts == 0)
+    uncovered_total = counts.size - int(np.count_nonzero(counts))
     return CoverageResult(
         space=space,
         set_size=len(ps),
         counts=counts,
-        uncovered_total=int(uncovered.size),
-        uncovered_sample=[int(x) for x in uncovered[:_UNCOVERED_SAMPLE]],
+        uncovered_total=uncovered_total,
+        uncovered_sample=_first_zeros(counts, min(uncovered_total,
+                                                  _UNCOVERED_SAMPLE)),
         checksum=_checksum(ps),
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )
@@ -122,24 +136,33 @@ def naive_coverage(ps: PointSet) -> np.ndarray:
 
 def triviality_check(ps: PointSet) -> bool:
     """True iff the set contains a full line.  Any contained line is spanned
-    by two of its points, so the pair scan is exact."""
+    by two of its points v_i, v_j, and its other points are v_i + l.v_j for
+    the q - 1 nonzero l, so the pair scan is exact.  For each i the pairs
+    (i, j > i) are tested one l at a time in a batch, keeping only the j whose
+    points so far all lie in the set."""
     space = ps.space
     if len(ps) < space.q + 1:
         return False
-    ranks = set(int(x) for x in ps.ranks)
-    vecs = ps.vecs()
     f = space.field
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            # points of the line <v_i, v_j> beyond the two generators
-            lam = np.arange(1, space.q, dtype=np.int64)
-            others = f.add_table[vecs[i][None, :],
-                                 f.mul_table[lam[:, None], vecs[j][None, :]]]
-            others = pg.normalize_batch(space, others)
-            rr = pg.rank_batch(space, others)
-            if all(int(x) in ranks for x in rr):
-                return True
+    vecs = ps.vecs()
+    for i in range(len(vecs) - 1):
+        others = vecs[i + 1:]
+        for lam in range(1, space.q):
+            pts = f.add_table[vecs[i], f.mul_table[lam, others]]
+            keep = _in_sorted(ps.ranks, pg.rank_batch(
+                space, pg.normalize_batch(space, pts)))
+            others = others[keep]
+            if not len(others):
+                break
+        else:
+            return True
     return False
+
+
+def _in_sorted(sorted_ranks: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    pos = np.searchsorted(sorted_ranks, ranks)
+    pos[pos == sorted_ranks.size] = 0
+    return sorted_ranks[pos] == ranks
 
 
 def planarity_check(ps: PointSet) -> tuple[int, bool]:

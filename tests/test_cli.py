@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from blockcone import cli, pg
+from blockcone import cli, example36, pg
 from blockcone.gf import cached_field
 from blockcone.pg import PointSet, ProjSpace, save_point_set
 
@@ -73,6 +73,7 @@ def test_verify_spectrum_check(bundle_path, tmp_path):
     assert rc == 0
     data = json.loads(report.read_text())
     assert set(data["spectra"]) == {"bbar", "btilde"}
+    assert "spectrum" in data["timings_ms"]
 
 
 def test_verify_tampered_bundle_fails(bundle_path, tmp_path):
@@ -105,6 +106,28 @@ def test_spectrum_command(bundle_path, tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())
     assert set(map(int, data["ht_histogram"])) <= {0, 37}
+
+
+def test_infeasible_family_scan_exits_2(tmp_path, monkeypatch, capsys):
+    # at q = 3 the family arrays would take about 15.5 GB: the scan must stop
+    # before allocating them, with a usage error, not a spectrum violation
+    path = tmp_path / "q3.json"
+    example36.save_bundle(example36.example_build(3, 0), path)
+
+    def refuse(model):
+        raise AssertionError("family arrays were allocated")
+
+    monkeypatch.setattr(example36, "pi_hyperplane_ranks_avoiding_x", refuse)
+    out = tmp_path / "spec.json"
+    assert run(["spectrum", "--bundle", str(path), "--target", "bbar",
+                "--out", str(out)]) == 2
+    report = tmp_path / "rep.json"
+    assert run(["verify", "--bundle", str(path), "--checks", "spectrum",
+                "--report", str(report)]) == 2
+    assert not out.exists() and not report.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("GiB" in line and "budget" in line for line in err)
 
 
 def test_excluder_command(tmp_path, capsys):

@@ -87,6 +87,43 @@ def test_incident_dual_ranks_vs_bruteforce(m, p, k):
         assert got.size == sp.hyperplanes_per_point()
 
 
+@pytest.mark.parametrize("m,p,k", [(2, 2, 1), (2, 3, 2), (3, 2, 2),
+                                   (4, 3, 1), (5, 2, 1)])
+def test_incident_dual_ranks_every_point(m, p, k):
+    # every point, hence every pivot and every last-nonzero position
+    sp = _space(m, p, k)
+    duals = pg.unrank_batch(sp, np.arange(sp.n_points))
+    pivots = np.argmax(duals != 0, axis=1)
+    last_nonzero = set()
+    for v in duals:
+        istar = int(np.flatnonzero(v)[-1])
+        last_nonzero.add(istar)
+        expect = np.flatnonzero(
+            pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0)
+        got = pg.incident_dual_ranks(sp, v)
+        assert got.size == sp.hyperplanes_per_point()
+        assert np.unique(got).size == got.size
+        assert np.array_equal(np.sort(got), expect)
+        # documented order: by pivot, then lexicographic in the coordinates
+        # other than i*
+        free = np.delete(duals[expect], istar, axis=1)
+        order = np.lexsort(np.vstack([free.T[::-1], pivots[expect]]))
+        assert np.array_equal(got, expect[order])
+    assert last_nonzero == set(range(m + 1))
+
+
+def test_incident_dual_ranks_spot_check_pg3_729():
+    sp = _space(3, 3, 6)
+    rng = np.random.default_rng(7)
+    for r in rng.integers(0, sp.n_points, size=3):
+        v = pg.unrank(sp, int(r))
+        got = pg.incident_dual_ranks(sp, v)
+        assert got.size == sp.hyperplanes_per_point() == 729**2 + 729 + 1
+        assert got.min() >= 0 and got.max() < sp.n_points
+        sample = pg.unrank_batch(sp, rng.choice(got, size=64, replace=False))
+        assert np.all(pg.dot(sp, sample, np.broadcast_to(v, sample.shape)) == 0)
+
+
 # -- subspaces ---------------------------------------------------------------
 
 def _random_subspace(sp, rng, max_gens):

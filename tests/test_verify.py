@@ -46,6 +46,23 @@ def test_worker_partitioning_is_invisible():
         assert cov.uncovered_sample == base.uncovered_sample
 
 
+@pytest.mark.parametrize("m,p,k,size", [(2, 2, 2, 3), (3, 3, 1, 3),
+                                        (3, 2, 2, 4), (4, 2, 2, 5),
+                                        (5, 2, 1, 6)])
+def test_uncovered_sample_matches_dense_scan(m, p, k, size, monkeypatch):
+    # 9, 12, 27, 72 and 0 uncovered hyperplanes: below and past the 32-rank
+    # sample, and a blocking set
+    sp = _space(m, p, k)
+    ps = PointSet(sp, np.random.default_rng(size).integers(
+        0, sp.n_points, size=size))
+    # a small chunk makes the sample span several chunks
+    monkeypatch.setattr(verify, "_SCAN_CHUNK", 7)
+    cov = verify.blocking_check(ps)
+    dense = np.flatnonzero(cov.counts == 0)
+    assert cov.uncovered_total == dense.size
+    assert cov.uncovered_sample == dense[:verify._UNCOVERED_SAMPLE].tolist()
+
+
 def test_line_blocks_plane_and_is_minimal():
     sp = _space(2, 2, 2)
     ps = _line_set(sp)
@@ -99,6 +116,26 @@ def test_triviality_detects_contained_line():
     assert verify.triviality_check(fat)
     assert not verify.triviality_check(PointSet(sp, line.ranks[:-1]))
     assert not verify.triviality_check(PointSet(sp, np.array([0])))
+
+
+@pytest.mark.parametrize("m,p,k", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
+def test_triviality_matches_line_enumeration(m, p, k):
+    sp = _space(m, p, k)
+    lines = set()
+    for a in range(sp.n_points):
+        for b in range(a + 1, sp.n_points):
+            L = span_in(sp, pg.unrank_batch(sp, np.array([a, b])))
+            lines.add(frozenset(int(r) for r in L.point_ranks()))
+    rng = np.random.default_rng(4)
+    seen = set()
+    for _ in range(150):
+        size = int(rng.integers(1, sp.n_points))
+        ps = PointSet(sp, rng.choice(sp.n_points, size=size, replace=False))
+        members = set(int(r) for r in ps.ranks)
+        expect = any(line <= members for line in lines)
+        assert verify.triviality_check(ps) == expect
+        seen.add(expect)
+    assert seen == {True, False}
 
 
 def test_planarity():
