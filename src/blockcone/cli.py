@@ -149,13 +149,12 @@ def cmd_verify(args) -> int:
                 spectrum_ok = False
         spectrum_ms = (time.perf_counter() - t0) * 1e3
 
-    rep = verify.run_checks(B, manifest, checks, workers=args.workers,
-                            spectra=spectra)
+    rep = verify.run_checks(B, manifest, checks, spectra=spectra)
     if spectra is not None:
         rep.timings_ms["spectrum"] = round(spectrum_ms, 3)
     out = rep.to_dict()
     out["config"] = {"command": "verify", "bundle": args.bundle,
-                     "checks": checks, "workers": args.workers}
+                     "checks": checks}
 
     ok = spectrum_ok
     if "blocking" in checks:
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--checks", default="blocking,minimal,trivial,planar")
     p.add_argument("--report")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--spectrum-sample", type=int, default=100)
     p.set_defaults(func=cmd_verify)
 

@@ -299,33 +299,33 @@ def bbar_build(frame: Example36Frame) -> PointSet:
 
 def t_tilde_find(model: BCModel, t, r_pt, p_vec) -> np.ndarray:
     """The unique point of X' \\ {t} lying, over the vertex p, above the
-    regulus of the line <t, r_pt>; found by the direct definition scan and
-    cross-checked against the regulus characterization."""
+    regulus of the line <t, r_pt>, cross-checked against the regulus
+    characterization.
+
+    By definition y in X' \\ {t} is disqualified iff y lies in <p, S2> for
+    an element S2 of the big line <X, X'> missing <t, r_pt>.  As vector
+    spaces <p, S2> = GF(q1).p + S2, so the elements S2 with y in <p, S2> are
+    exactly the elements through the points y - a.p, a in GF(q1), all on
+    <X, X'> (a = 0 gives X', on the regulus).  Those elements are computed
+    for every y in one batch; y qualifies iff all of them meet <t, r_pt>."""
     sp = model.sigma_prime
-    big = model.spread.big_space
+    f = model.tower.sub
+    rn = model.r * model.n
     line_tr = span_in(sp, [t, r_pt])
-    xline = span_in(big, [pg.unrank(big, model.x_index),
-                          pg.unrank(big, model.xprime_index)])
-    element_indices = [int(r) for r in xline.point_ranks()]
+    reg = set(model.regulus_of_line(line_tr))
 
     xp_pts = model.Xprime.point_vecs()
-    t_rank = pg.rank_of(sp, t)
-    alive = {pg.rank_of(sp, v): v for v in xp_pts}
-    alive.pop(t_rank, None)
-    for idx in element_indices:
-        S2 = model.element_subspace(idx)
-        if meet(S2, line_tr).dim >= 0:
-            continue  # regulus element; no constraint from it
-        # y in <p, S2> for an element off the regulus disqualifies y
-        SP = span([span_in(sp, [p_vec]), S2])
-        for rk in [rk for rk, v in alive.items() if SP.contains(v)]:
-            alive.pop(rk)
-    if len(alive) != 1:
+    ys = xp_pts[np.any(xp_pts != t, axis=1)]
+    minus_ap = f.neg_table[f.mul_table[np.arange(f.q)[:, None],
+                                       p_vec[None, :rn]]]  # (q1, rn)
+    diffs = f.add_table[ys[:, None, :rn], minus_ap[None, :, :]]
+    idx = model.spread.elements_of_vecs(diffs.reshape(-1, rn))
+    alive = np.isin(idx, sorted(reg)).reshape(len(ys), f.q).all(axis=1)
+    if alive.sum() != 1:
         raise GeometryError(
-            f"regulus point not unique: {len(alive)} qualifiers")
-    t_tilde = next(iter(alive.values()))
+            f"regulus point not unique: {alive.sum()} qualifiers")
+    t_tilde = ys[np.argmax(alive)]
 
-    reg = set(model.regulus_of_line(line_tr))
     ell = span_in(sp, [p_vec, t_tilde])
     reg2 = set(model.regulus_of_line(ell))
     if reg != reg2:
@@ -363,20 +363,25 @@ def _choose_xprime_lines(model: BCModel, t, t_tilde):
 
 
 def _least_h(model: BCModel, gamma_prime: Subspace, pi: Subspace) -> np.ndarray:
-    """Least-rank point of Gamma' outside Sigma and outside <X, X', pi>."""
+    """Least-rank point of Gamma' outside Sigma and outside <X, X', pi>.
+
+    Gamma' is a hyperplane of Sigma' with form g, so its points are the duals
+    incident to g; `pg.hyperplane_point_ranks` walks them in rank order: the
+    pivot blocks from the highest pivot down, each block lexicographic in its
+    free coordinates, which is rank order within the block because the
+    dependent coordinate depends only on the free coordinates before it.
+    The first admissible point of the walk is the least."""
     sp = model.sigma_prime
-    W = span([model.X, model.Xprime, pi])
-    gp_forms = gamma_prime.dual_forms()
-    w_forms = W.dual_forms()
-    for ranks, vecs in pg.enumerate_points(sp, chunk=1 << 13):
-        affine = vecs[:, -1] != 0
-        in_gp = np.ones(len(vecs), dtype=bool)
-        for fvec in gp_forms:
-            in_gp &= pg.dot(sp, vecs, np.broadcast_to(fvec, vecs.shape)) == 0
+    g = gamma_prime.dual_forms()
+    if g.shape[0] != 1:
+        raise GeometryError("Gamma' is not a hyperplane of Sigma'")
+    w_forms = span([model.X, model.Xprime, pi]).dual_forms()
+    for ranks in pg.hyperplane_point_ranks(sp, g[0]):
+        vecs = pg.unrank_batch(sp, ranks)
         out_w = np.zeros(len(vecs), dtype=bool)
         for fvec in w_forms:
             out_w |= pg.dot(sp, vecs, np.broadcast_to(fvec, vecs.shape)) != 0
-        ok = affine & in_gp & out_w
+        ok = (vecs[:, -1] != 0) & out_w
         if np.any(ok):
             return vecs[np.argmax(ok)]
     raise GeometryError("no admissible h (cannot happen)")
@@ -417,16 +422,6 @@ def example_build(q: int, seed: int = 0) -> Bundle:
 # vectorized membership machinery for the hyperplane family of Pi_3
 
 
-# A family scan holds every hyperplane rank and every member's dual vector at
-# once; above this many bytes it fails fast instead of allocating (q = 3
-# would need about 15.5 GB).
-FAMILY_SCAN_BUDGET_BYTES = 2 << 30
-
-
-class ResourceError(ValueError):
-    """A computation whose estimated memory exceeds its budget."""
-
-
 class FamilyScanner:
     """Evaluates, for every hyperplane H of Pi_3 missing X at once, whether a
     Sigma'-point u lies in S7 = <blowup(H), p>.
@@ -438,14 +433,11 @@ class FamilyScanner:
     def __init__(self, model: BCModel):
         self.model = model
         sp = model.pi_space
-        # int64 ranks of all hyperplanes, then int64 duals of the members
+        # int64 ranks of all hyperplanes, then int64 duals of the members:
+        # about 15.5 GB at q = 3
         members = sp.n_points - sp.hyperplanes_per_point()
-        need = 8 * sp.n_points + 8 * (sp.m + 1) * members
-        if need > FAMILY_SCAN_BUDGET_BYTES:
-            raise ResourceError(
-                f"family scan over the hyperplanes of {sp} would allocate "
-                f"about {need / 2**30:.1f} GiB, over the "
-                f"{FAMILY_SCAN_BUDGET_BYTES / 2**30:.0f} GiB budget")
+        pg.check_budget(8 * sp.n_points + 8 * (sp.m + 1) * members,
+                        f"family scan over the hyperplanes of {sp}")
         self.ranks = pi_hyperplane_ranks_avoiding_x(model)
         self.duals = pg.unrank_batch(sp, self.ranks)
         xp_vec = model.spread_to_pg_vec(model.xprime_index)

@@ -9,13 +9,12 @@ every "least element" tie-break elsewhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-# Above this size the dense q x q tables are not built and only scalar
-# polynomial arithmetic is available.
-_TABLE_LIMIT = 1 << 13
+# Every kernel indexes the dense q x q tables, so larger fields are refused.
+_MAX_ORDER = 1 << 13
 
 
 class FieldError(ValueError):
@@ -28,13 +27,6 @@ def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
         n, d = divmod(n, p)
         out.append(d)
     return tuple(out)
-
-
-def _encode(digs, p: int) -> int:
-    n = 0
-    for d in reversed(digs):
-        n = n * p + int(d)
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +50,6 @@ def _poly_mod(a, b, p):
             for j in range(db + 1):
                 a[i - db + j] = (a[i - db + j] - f * b[j]) % p
     return _poly_trim(a[:db])
-
-
-def _poly_mulmod(a, b, m, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, m, p)
 
 
 def is_prime(n: int) -> bool:
@@ -115,9 +98,9 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """GF(p^k) with an explicit monic irreducible modulus.
 
-    Immutable; all operations are pure.  Dense add/mul/inv numpy tables are
-    built once for fields small enough to hold them and drive both the scalar
-    API and the vectorized geometry kernels.
+    Immutable; all operations are pure.  Dense add/neg/mul/inv numpy tables,
+    built on first use, drive both the scalar API and the vectorized geometry
+    kernels; fields of more than 8192 elements are refused.
     """
 
     def __init__(self, p: int, k: int, modulus=None):
@@ -125,6 +108,9 @@ class FieldSpec:
             raise FieldError(f"{p} is not prime")
         if k < 1:
             raise FieldError("degree must be >= 1")
+        if p**k > _MAX_ORDER:
+            raise FieldError(f"GF({p}^{k}) has more than {_MAX_ORDER} "
+                             f"elements, too many for dense tables")
         if modulus is None:
             modulus = least_irreducible(p, k)
         else:
@@ -137,9 +123,6 @@ class FieldSpec:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._tables = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
 
     # -- identity ----------------------------------------------------------
 
@@ -161,7 +144,8 @@ class FieldSpec:
 
     # -- table construction ------------------------------------------------
 
-    def _build_tables(self):
+    @cached_property
+    def _tables(self) -> dict:
         p, k, q = self.p, self.k, self.q
         digs = np.zeros((q, k), dtype=np.int64)
         n = np.arange(q)
@@ -198,7 +182,7 @@ class FieldSpec:
         nz = mul[1:, :] == 1
         inv[1:] = np.argmax(nz, axis=1)
 
-        self._tables = {
+        return {
             "add": add.astype(np.int32),
             "neg": neg.astype(np.int32),
             "mul": mul,
@@ -206,31 +190,19 @@ class FieldSpec:
         }
 
     @property
-    def has_tables(self) -> bool:
-        return self._tables is not None
-
-    @property
     def add_table(self) -> np.ndarray:
-        if self._tables is None:
-            raise FieldError(f"{self} too large for dense tables")
         return self._tables["add"]
 
     @property
     def mul_table(self) -> np.ndarray:
-        if self._tables is None:
-            raise FieldError(f"{self} too large for dense tables")
         return self._tables["mul"]
 
     @property
     def neg_table(self) -> np.ndarray:
-        if self._tables is None:
-            raise FieldError(f"{self} too large for dense tables")
         return self._tables["neg"]
 
     @property
     def inv_table(self) -> np.ndarray:
-        if self._tables is None:
-            raise FieldError(f"{self} too large for dense tables")
         return self._tables["inv"]
 
     # -- scalar ops --------------------------------------------------------
@@ -242,39 +214,24 @@ class FieldSpec:
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self._tables is not None:
-            return int(self._tables["add"][a, b])
-        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
-        return _encode([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self._tables is not None:
-            return int(self._tables["neg"][a])
-        return _encode([(-x) % self.p for x in _digits(a, self.p, self.k)], self.p)
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self._tables is not None:
-            return int(self._tables["mul"][a, b])
-        r = _poly_mulmod(
-            _poly_trim(_digits(a, self.p, self.k)),
-            _poly_trim(_digits(b, self.p, self.k)),
-            self.modulus,
-            self.p,
-        )
-        return _encode(r + (0,) * (self.k - len(r)), self.p)
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise FieldError("inverse of zero")
-        if self._tables is not None:
-            return int(self._tables["inv"][a])
-        return self.pow(a, self.q - 2)
+        return int(self.inv_table[a])
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
@@ -306,14 +263,6 @@ class FieldSpec:
 
 def field_make(p: int, k: int, modulus=None) -> FieldSpec:
     return FieldSpec(p, k, modulus)
-
-
-def field_arith(spec: FieldSpec, op: str, *operands) -> int:
-    fns = {"add": spec.add, "mul": spec.mul, "inv": spec.inv, "pow": spec.pow,
-           "neg": spec.neg, "sub": spec.sub}
-    if op not in fns:
-        raise FieldError(f"unknown operation {op!r}")
-    return fns[op](*operands)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +417,6 @@ class FieldTower:
         self.sup._check(a)
         cols = [self.coords(self.sup.mul(a, b)) for b in self.basis.elements]
         return np.array(cols, dtype=np.int64).T
-
-
-def blowup_matrix(a: int, tower: FieldTower) -> np.ndarray:
-    return tower.blowup_matrix(a)
 
 
 def _gfp_matinv(M: np.ndarray, p: int) -> np.ndarray:

@@ -60,26 +60,33 @@ class Spread:
     def n_elements(self) -> int:
         return self.big_space.n_points
 
-    def element_point_vecs(self, index: int) -> np.ndarray:
-        """Canonical Sigma-coordinate vectors (length rn) of one element."""
+    def element_generators(self, index: int) -> np.ndarray:
+        """(n, rn) basis of one element: the Sigma-coordinates of b_k.x for
+        the tower basis b_0..b_{n-1} and x the big point of the index.  The
+        rows are independent because y -> y.x is a GF(q1)-linear bijection."""
         x = pg.unrank(self.big_space, index)
-        sup = self.tower.sup
-        lam = np.arange(1, sup.q, dtype=np.int64)
-        scaled = sup.mul_table[lam[:, None], x[None, :]]  # (q-1, r) big coords
-        blocks = self.tower.coords(scaled)  # (q-1, r, n)
-        vecs = blocks.reshape(len(lam), self.r * self.n)
-        vecs = pg.normalize_batch(self.sigma_space, vecs)
-        ranks = np.unique(pg.rank_batch(self.sigma_space, vecs))
-        return pg.unrank_batch(self.sigma_space, ranks)
+        basis = np.array(self.tower.basis.elements, dtype=np.int64)
+        scaled = self.tower.sup.mul_table[basis[:, None], x[None, :]]
+        return self.tower.coords(scaled).reshape(self.n, self.r * self.n)
+
+    def element_point_vecs(self, index: int) -> np.ndarray:
+        """Canonical Sigma-coordinate vectors (length rn) of one element,
+        rank-sorted."""
+        return Subspace(self.sigma_space,
+                        self.element_generators(index)).point_vecs()
 
     def element_of_vec(self, vec) -> int:
         """Spread element index of a Sigma-point (length rn coordinates)."""
-        v = np.asarray(vec, dtype=np.int64)
-        big = self.tower.reconstitute(v.reshape(self.r, self.n))
-        if not big.any():
+        return int(self.elements_of_vecs(np.asarray(vec)[None, :])[0])
+
+    def elements_of_vecs(self, vecs) -> np.ndarray:
+        """Spread element indices of nonzero Sigma-vectors, one per row."""
+        v = np.asarray(vecs, dtype=np.int64)
+        big = self.tower.reconstitute(v.reshape(len(v), self.r, self.n))
+        if not np.all(big.any(axis=1)):
             raise GeometryError("zero vector")
-        big = pg.normalize(self.big_space, big)
-        return pg.rank_of(self.big_space, big)
+        return pg.rank_batch(self.big_space,
+                             pg.normalize_batch(self.big_space, big))
 
 
 class BCModel:
@@ -118,13 +125,8 @@ class BCModel:
         return out
 
     def element_subspace(self, index: int) -> Subspace:
-        # feed all element points to rref: a prefix of the canonical point
-        # list need not be independent
-        vecs = self.spread.element_point_vecs(index)
-        return Subspace(self.sigma_prime, self._lift(vecs))
-
-    def element_point_vecs(self, index: int) -> np.ndarray:
-        return self._lift(self.spread.element_point_vecs(index))
+        return Subspace(self.sigma_prime,
+                        self._lift(self.spread.element_generators(index)))
 
     def spread_element_of(self, vec) -> int:
         v = np.asarray(vec, dtype=np.int64)

@@ -21,6 +21,22 @@ class GeometryError(ValueError):
     pass
 
 
+# Arrays a computation would allocate above this many bytes make it fail fast
+# with ResourceError instead.
+MEMORY_BUDGET_BYTES = 2 << 30
+
+
+class ResourceError(ValueError):
+    """A computation whose estimated memory exceeds MEMORY_BUDGET_BYTES."""
+
+
+def check_budget(need: int, what: str) -> None:
+    if need > MEMORY_BUDGET_BYTES:
+        raise ResourceError(
+            f"{what} would allocate about {need / 2**30:.1f} GiB, over the "
+            f"{MEMORY_BUDGET_BYTES / 2**30:.0f} GiB budget")
+
+
 @dataclass(frozen=True)
 class ProjSpace:
     m: int  # projective dimension
@@ -109,16 +125,6 @@ def unrank_batch(space: ProjSpace, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def enumerate_points(space: ProjSpace, start: int = 0, stop: int | None = None,
-                     chunk: int = 1 << 14):
-    """Canonical point vectors in rank order, yielded as (ranks, vecs) chunks."""
-    stop = space.n_points if stop is None else stop
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        ranks = np.arange(lo, hi, dtype=np.int64)
-        yield ranks, unrank_batch(space, ranks)
-
-
 def incident(pt_vec, hyp_vec, space: ProjSpace) -> bool:
     return dot(space, np.asarray(pt_vec), np.asarray(hyp_vec)) == 0
 
@@ -142,42 +148,108 @@ def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
 
         a* = c.v_j + sum over free i of (c.v_i).a_i.
 
-    Per pivot, a* and the rank offsets thresh(j) + sum a_i.q^(m-i) are built
-    as outer sums over the free coordinates in lexicographic order: one add
-    table gather per free coordinate before i* (those after i* leave a*
-    unchanged).  The ranks are offsets + a*.q^(m-i*), ordered by pivot, then
-    lexicographically in the free coordinates."""
-    v = np.asarray(vec, dtype=np.int64)
+    Per pivot j < i*, a* is an outer sum over the free coordinates before i*
+    and the ranks a broadcast sum written into one preallocated array
+    (`_pivot_block`).  The ranks are ordered by pivot, then lexicographically
+    in the free coordinates."""
     m, q = space.m, space.q
-    f = space.field
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        raise GeometryError("zero vector")
-    istar = int(nz[-1])
-    add, mul = f.add_table, f.mul_table
-    cv = mul[int(f.neg_table[f.inv_table[v[istar]]]), v]
-    digits = np.arange(q, dtype=np.int64)
-    w = q ** np.arange(m, -1, -1, dtype=np.int64)
+    istar, cv = _incidence_form(space, vec)
     out = np.empty(space.hyperplanes_per_point(), dtype=np.int64)
     lo = 0
     for j in range(istar):
-        acc = cv[j:j + 1]
-        for i in range(j + 1, istar):
-            acc = np.take(add[acc], mul[cv[i]], axis=1).ravel()
-        offsets = np.full(1, space._thresh(j), dtype=np.int64)
-        for i in range(j + 1, m + 1):
-            if i != istar:
-                offsets = (offsets[:, None] + digits * w[i]).ravel()
-        block = out[lo:lo + offsets.size]
-        np.multiply(acc[:, None], w[istar],
-                    out=block.reshape(acc.size, -1))
-        block += offsets
-        lo += offsets.size
+        size = q ** (m - j - 1)
+        _pivot_block(space, cv, istar, j, out[lo:lo + size])
+        lo += size
     for j in range(istar + 1, m + 1):
         base = space._thresh(j)
         out[lo:lo + q ** (m - j)] = np.arange(base, base + q ** (m - j))
         lo += q ** (m - j)
     return out
+
+
+# rows per chunk of `hyperplane_point_ranks`
+_WALK_CHUNK = 1 << 13
+
+
+def hyperplane_point_ranks(space: ProjSpace, form):
+    """Ranks of the points x with form . x = 0, in increasing order, yielded
+    in chunks of at most `_WALK_CHUNK`.
+
+    These are the duals incident to `form`, walked pivot block by pivot block
+    from the highest pivot down, which is rank order.  A block j > i* is a
+    rank interval; pivot i* has no incident dual.  A block j < i* is built
+    per value of its first free coordinate with `_pivot_block`, and needs no
+    sort: a* depends only on the free coordinates before it, so lexicographic
+    order of the free coordinates is lexicographic order of the whole vector,
+    i.e. rank order."""
+    m, q = space.m, space.q
+    istar, cv = _incidence_form(space, form)
+    for j in range(m, -1, -1):
+        if j > istar:
+            lo = space._thresh(j)
+            hi = lo + q ** (m - j)
+            for a in range(lo, hi, _WALK_CHUNK):
+                yield np.arange(a, min(a + _WALK_CHUNK, hi), dtype=np.int64)
+        elif j < istar:
+            size = q ** (m - j - 1)
+            leads = [None] if size == 1 else range(q)
+            for lead in leads:
+                block = np.empty(size // len(leads), dtype=np.int64)
+                _pivot_block(space, cv, istar, j, block, lead)
+                for a in range(0, block.size, _WALK_CHUNK):
+                    yield block[a:a + _WALK_CHUNK]
+
+
+def _incidence_form(space: ProjSpace, vec) -> tuple[int, np.ndarray]:
+    """(i*, c.vec): the last nonzero coordinate of vec and vec scaled by
+    c = -vec[i*]^-1, so that a . vec = 0 iff a_{i*} = sum over i != i* of
+    (c.v_i).a_i."""
+    v = np.asarray(vec, dtype=np.int64)
+    nz = np.nonzero(v)[0]
+    if nz.size == 0:
+        raise GeometryError("zero vector")
+    istar = int(nz[-1])
+    f = space.field
+    return istar, f.mul_table[int(f.neg_table[f.inv_table[v[istar]]]), v]
+
+
+def _pivot_block(space: ProjSpace, cv: np.ndarray, istar: int, j: int,
+                 out: np.ndarray, lead: int | None = None) -> None:
+    """Write into `out` the ranks of the incident duals with pivot j < i*,
+    lexicographic in the free coordinates i > j, i != i*; with `lead`, only
+    those whose first free coordinate is `lead`.
+
+    Split the free coordinates at i*: with kb and ka the lexicographic
+    positions of the parts before and after i*, the rank is
+
+        thresh(j) + kb.q^(m-i*+1) + a*.q^(m-i*) + ka,
+
+    and a* depends on the part before i* only.  So a* is an outer sum over
+    that part, one add-table gather per coordinate, and the block is a
+    column over kb plus a row over ka."""
+    m, q = space.m, space.q
+    add, mul = space.field.add_table, space.field.mul_table
+    na = m - istar  # free coordinates after i*
+    n_after = q ** na
+    acc = cv[j:j + 1]
+    base = space._thresh(j)
+    first = j + 1
+    if lead is not None:
+        if first < istar:
+            acc = add[acc, mul[cv[first], lead]]
+            base += lead * q ** (m - first)
+            first += 1
+        else:  # the first free coordinate is i* + 1
+            n_after //= q
+            base += lead * n_after
+    for i in range(first, istar):
+        acc = np.take(add[acc], mul[cv[i]], axis=1).ravel()
+    wb = q ** (na + 1)
+    block = out.reshape(acc.size, n_after)
+    np.multiply(acc[:, None], q ** na, out=block)
+    block += np.arange(base, base + acc.size * wb, wb)[:, None]
+    if n_after > 1:
+        block += np.arange(n_after)
 
 
 def hyperplanes_through(space: ProjSpace, vec) -> np.ndarray:

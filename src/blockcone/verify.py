@@ -52,14 +52,6 @@ def _checksum(ps: PointSet) -> int:
     return hash((ps.space, ps.ranks.tobytes()))
 
 
-def _point_hyperplane_ranges(n_points: int, workers: int):
-    """Deterministic range partition; shards merge by saturating addition, so
-    the result is independent of the partitioning."""
-    workers = max(1, int(workers))
-    bounds = np.linspace(0, n_points, workers + 1, dtype=np.int64)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-
-
 def _first_zeros(counts: np.ndarray, k: int) -> list[int]:
     """The first k indices of zero cells (k at most the number of zeros),
     scanned in chunks so that no index array over all zeros is built."""
@@ -72,21 +64,21 @@ def _first_zeros(counts: np.ndarray, k: int) -> list[int]:
     return found
 
 
-def blocking_check(ps: PointSet, workers: int = 1) -> CoverageResult:
-    """Coverage counter per hyperplane rank; blocking iff every counter >= 1."""
+def blocking_check(ps: PointSet) -> CoverageResult:
+    """Coverage counter per hyperplane rank; blocking iff every counter >= 1.
+
+    Saturating increments are scattered straight into the counters: in any
+    order they leave min(total, 255) in each cell.  The counter array (one
+    byte per hyperplane) is checked against the memory budget before it is
+    allocated."""
     t0 = time.perf_counter()
     space = ps.space
+    pg.check_budget(space.n_points, f"a hyperplane counter over {space}")
     counts = np.zeros(space.n_points, dtype=np.uint8)
-    vecs = ps.vecs()
-    for lo, hi in _point_hyperplane_ranges(len(vecs), workers):
-        shard = np.zeros_like(counts)
-        for v in vecs[lo:hi]:
-            hyps = pg.incident_dual_ranks(space, v)
-            c = shard[hyps]
-            shard[hyps] = c + (c < _SAT)
-        free = _SAT - counts
-        np.minimum(shard, free, out=shard)
-        counts += shard
+    for v in ps.vecs():
+        hyps = pg.incident_dual_ranks(space, v)
+        c = counts[hyps]
+        counts[hyps] = c + (c < _SAT)
     uncovered_total = counts.size - int(np.count_nonzero(counts))
     return CoverageResult(
         space=space,
@@ -199,13 +191,13 @@ class VerificationReport:
         return out
 
 
-def run_checks(ps: PointSet, manifest: dict, checks, workers: int = 1,
+def run_checks(ps: PointSet, manifest: dict, checks,
                spectra: dict | None = None) -> VerificationReport:
     rep = VerificationReport(manifest=manifest, space=repr(ps.space),
                              set_size=len(ps))
     coverage = None
     if "blocking" in checks or "minimal" in checks:
-        coverage = blocking_check(ps, workers=workers)
+        coverage = blocking_check(ps)
         rep.blocking = {
             "total": int(coverage.space.n_points),
             "uncovered": coverage.uncovered_sample,

@@ -25,6 +25,8 @@ def test_ff_report(tmp_path, capsys):
 
 def test_ff_usage_error(capsys):
     assert run(["ff", "--p", "4", "--k", "2"]) == 2
+    # GF(2^14) has more elements than the dense tables allow
+    assert run(["ff", "--p", "2", "--k", "14"]) == 2
 
 
 def test_unknown_subcommand_exits_2():
@@ -128,6 +130,26 @@ def test_infeasible_family_scan_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all("GiB" in line and "budget" in line for line in err)
+
+
+def test_infeasible_counter_exits_2(tmp_path, monkeypatch, capsys):
+    # a set in PG(3, 4096), as a q = 4 example would give, asks for 6.9e10
+    # hyperplane counters: verify stops before allocating them
+    field = cached_field(2, 12)
+    ps = PointSet(ProjSpace(3, field), np.array([0]))
+    monkeypatch.setattr(cli, "_load_any_bundle", lambda path: (ps, {}, None))
+
+    def refuse(space, vec):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(pg, "incident_dual_ranks", refuse)
+    report = tmp_path / "rep.json"
+    assert run(["verify", "--bundle", "q4.json", "--checks", "blocking",
+                "--report", str(report)]) == 2
+    assert not report.exists()
+    err = capsys.readouterr().err
+    assert "GiB" in err and "budget" in err
+    assert "_tables" not in vars(field)
 
 
 def test_excluder_command(tmp_path, capsys):

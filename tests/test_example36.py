@@ -102,6 +102,76 @@ def test_t_tilde_unique_and_regulus_consistent(frame):
     assert np.array_equal(again, frame.t_tilde)
 
 
+def _t_tilde_qualifiers_by_scan(model, t, r_pt, p_vec):
+    """Oracle: the direct definition, one <p, S2> per element S2 of the big
+    line <X, X'> that misses <t, r_pt>; the X' points left are returned as
+    ranks."""
+    sp = model.sigma_prime
+    big = model.spread.big_space
+    line_tr = span_in(sp, [t, r_pt])
+    xline = span_in(big, [pg.unrank(big, model.x_index),
+                          pg.unrank(big, model.xprime_index)])
+    alive = set(int(x) for x in model.Xprime.point_ranks())
+    alive.discard(pg.rank_of(sp, t))
+    for idx in xline.point_ranks():
+        S2 = model.element_subspace(int(idx))
+        if meet(S2, line_tr).dim >= 0:
+            continue
+        SP = span([span_in(sp, [p_vec]), S2])
+        alive = {rk for rk in alive if not SP.contains(pg.unrank(sp, rk))}
+    return alive
+
+
+def _least_h_by_full_scan(model, gamma_prime, pi):
+    """Oracle: every point of Sigma' in rank order, tested against the dual
+    forms of Gamma' and of <X, X', pi>."""
+    sp = model.sigma_prime
+    gp_forms = gamma_prime.dual_forms()
+    w_forms = span([model.X, model.Xprime, pi]).dual_forms()
+    for lo in range(0, sp.n_points, 1 << 13):
+        vecs = pg.unrank_batch(sp, np.arange(lo, min(lo + (1 << 13),
+                                                     sp.n_points)))
+        ok = vecs[:, -1] != 0
+        for fvec in gp_forms:
+            ok &= pg.dot(sp, vecs, np.broadcast_to(fvec, vecs.shape)) == 0
+        out_w = np.zeros(len(vecs), dtype=bool)
+        for fvec in w_forms:
+            out_w |= pg.dot(sp, vecs, np.broadcast_to(fvec, vecs.shape)) != 0
+        ok &= out_w
+        if np.any(ok):
+            return vecs[np.argmax(ok)]
+    raise AssertionError("no admissible h")
+
+
+@pytest.fixture(scope="module")
+def frames_q2():
+    return [ex.frame36_make(2, seed) for seed in range(8)]
+
+
+def test_t_tilde_batch_matches_definition_scan(frames_q2):
+    for fr in frames_q2:
+        m = fr.model
+        sp = m.sigma_prime
+        expect = _t_tilde_qualifiers_by_scan(m, fr.t, fr.r_pt, m.vertex_p)
+        got = ex.t_tilde_find(m, fr.t, fr.r_pt, m.vertex_p)
+        assert expect == {pg.rank_of(sp, got)}
+        assert np.array_equal(got, fr.t_tilde)
+
+
+def test_least_h_matches_full_scan(frames_q2):
+    for fr in frames_q2:
+        expect = _least_h_by_full_scan(fr.model, fr.gamma_prime, fr.pi)
+        got = ex._least_h(fr.model, fr.gamma_prime, fr.pi)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(got, fr.h)
+
+
+def test_least_h_needs_a_hyperplane(frame):
+    # Gamma has codimension 2 in Sigma'
+    with pytest.raises(GeometryError, match="hyperplane"):
+        ex._least_h(frame.model, frame.gamma, frame.pi)
+
+
 def test_xprime_line_triple(frame):
     sp = frame.model.sigma_prime
     L1, L2, L3 = frame.lines_xp

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockcone.gf import (FieldError, FieldTower, cached_field, cached_tower,
-                          field_make, least_irreducible, subfield_embed)
+from blockcone.gf import (FieldError, FieldSpec, FieldTower, cached_field,
+                          cached_tower, field_make, least_irreducible,
+                          subfield_embed)
 
 
 def _naive_poly_mul_mod(a, b, modulus, p):
@@ -132,6 +133,15 @@ def test_bad_parameters():
         field_make(4, 2)  # 4 is not prime
     with pytest.raises(FieldError):
         field_make(2, 0)
+
+
+def test_fields_above_8192_elements_are_refused():
+    # every kernel indexes dense q x q tables; GF(2^13) is the largest field
+    with pytest.raises(FieldError, match="8192"):
+        FieldSpec(2, 14)
+    with pytest.raises(FieldError):
+        field_make(8209, 1)
+    assert FieldSpec(2, 13).q == 8192
 
 
 # -- subfield embeddings -----------------------------------------------------

@@ -50,6 +50,43 @@ def test_spread_elements_pairwise_disjoint_sampled(big):
         assert meet(A, B).dim == -1
 
 
+def _element_from_all_points(model, index):
+    """Oracle: the element through big point `index` as the row-reduced span
+    of all its points, the Sigma-coordinates of every nonzero big-field
+    multiple of that point (rank-sorted canonical vectors, and the lifted
+    Subspace)."""
+    spread = model.spread
+    sup = model.tower.sup
+    x = pg.unrank(spread.big_space, index)
+    lam = np.arange(1, sup.q)
+    vecs = model.tower.coords(sup.mul_table[lam[:, None], x[None, :]])
+    vecs = pg.normalize_batch(spread.sigma_space, vecs.reshape(len(lam), -1))
+    ranks = np.unique(pg.rank_batch(spread.sigma_space, vecs))
+    vecs = pg.unrank_batch(spread.sigma_space, ranks)
+    lifted = np.hstack([vecs, np.zeros((len(vecs), 1), dtype=np.int64)])
+    return vecs, Subspace(model.sigma_prime, lifted)
+
+
+@pytest.mark.parametrize("q1,n,r", [(2, 2, 2), (3, 2, 2), (4, 3, 3)])
+def test_element_subspace_closed_form_every_element(q1, n, r):
+    model = make_model(q1, n, r)
+    for i in range(model.spread.n_elements):
+        vecs, expect = _element_from_all_points(model, i)
+        assert model.element_subspace(i) == expect
+        assert np.array_equal(model.spread.element_point_vecs(i), vecs)
+
+
+def test_element_subspace_closed_form_sampled_q3():
+    model = make_model(9, 3, 3)  # the q = 3 frame: PG(2, 729) in PG(8, 9)
+    rng = np.random.default_rng(8)
+    for i in rng.choice(model.spread.n_elements, size=50, replace=False):
+        vecs, expect = _element_from_all_points(model, int(i))
+        assert model.element_subspace(int(i)) == expect
+        assert expect.dim == model.n - 1
+        assert np.array_equal(model.spread.elements_of_vecs(vecs),
+                              np.full(len(vecs), i))
+
+
 def test_element_of_vec_inverts_enumeration(big):
     rng = np.random.default_rng(1)
     for i in rng.integers(0, big.spread.n_elements, size=25):

@@ -124,6 +124,24 @@ def test_incident_dual_ranks_spot_check_pg3_729():
         assert np.all(pg.dot(sp, sample, np.broadcast_to(v, sample.shape)) == 0)
 
 
+@pytest.mark.parametrize("m,p,k", [(3, 3, 1), (4, 2, 2), (5, 2, 1),
+                                   (3, 2, 3), (2, 3, 2)])
+@pytest.mark.parametrize("chunk", [5, 1 << 13])
+def test_hyperplane_point_ranks_walk_rank_order(m, p, k, chunk, monkeypatch):
+    # every hyperplane of PG(3,3), PG(4,4), PG(5,2), PG(3,8), PG(2,9): the
+    # chunks, from the highest pivot down, are its points in rank order
+    monkeypatch.setattr(pg, "_WALK_CHUNK", chunk)
+    sp = _space(m, p, k)
+    for r in range(sp.n_points):
+        form = pg.unrank(sp, r)
+        chunks = list(pg.hyperplane_point_ranks(sp, form))
+        assert max(c.size for c in chunks) <= chunk
+        walk = np.concatenate(chunks)
+        assert np.all(np.diff(walk) > 0)
+        assert np.array_equal(walk,
+                              np.sort(pg.incident_dual_ranks(sp, form)))
+
+
 # -- subspaces ---------------------------------------------------------------
 
 def _random_subspace(sp, rng, max_gens):

@@ -5,7 +5,7 @@ import pytest
 
 from blockcone import pg, verify
 from blockcone.gf import cached_field
-from blockcone.pg import PointSet, ProjSpace, span_in
+from blockcone.pg import PointSet, ProjSpace, Subspace, span_in
 
 
 def _space(m, p, k=1):
@@ -36,14 +36,42 @@ def test_counter_conservation():
 
 
 def test_worker_partitioning_is_invisible():
+    # saturating counts of consecutive pieces merge into those of the whole
     sp = _space(3, 2, 2)
     rng = np.random.default_rng(2)
     ps = PointSet(sp, rng.integers(0, sp.n_points, size=25))
-    base = verify.blocking_check(ps, workers=1)
+    base = verify.blocking_check(ps)
     for w in (2, 3, 8, 64):
-        cov = verify.blocking_check(ps, workers=w)
-        assert np.array_equal(cov.counts, base.counts)
-        assert cov.uncovered_sample == base.uncovered_sample
+        total = np.zeros(sp.n_points, dtype=np.int64)
+        for piece in np.array_split(ps.ranks, w):
+            total += verify.blocking_check(PointSet(sp, piece)).counts
+        merged = np.minimum(total, 255).astype(np.uint8)
+        assert np.array_equal(merged, base.counts)
+        zeros = np.flatnonzero(merged == 0)
+        assert zeros.size == base.uncovered_total
+        assert zeros[:verify._UNCOVERED_SAMPLE].tolist() == \
+            base.uncovered_sample
+
+
+def test_counters_saturate_at_255():
+    # the 273 points of the plane x0 = 0 of PG(3, 16): that plane's counter
+    # caps at 255, every other plane meets the set in a line of 17 points
+    sp = _space(3, 2, 4)
+    plane = Subspace(sp, np.eye(4, dtype=np.int64)[1:])
+    cov = verify.blocking_check(PointSet(sp, plane.point_ranks()))
+    x0 = pg.rank_of(sp, [1, 0, 0, 0])
+    assert cov.counts[x0] == 255
+    assert np.all(np.delete(cov.counts, x0) == 17)
+
+
+def test_counter_preflight_refuses_pg3_4096():
+    # a q = 4 certificate asks for 6.9e10 counters; the check stops before
+    # the field tables or the counters are built
+    field = cached_field(2, 12)
+    ps = PointSet(ProjSpace(3, field), np.array([0]))
+    with pytest.raises(pg.ResourceError, match="GiB.*budget"):
+        verify.blocking_check(ps)
+    assert "_tables" not in vars(field)
 
 
 @pytest.mark.parametrize("m,p,k,size", [(2, 2, 2, 3), (3, 3, 1, 3),
