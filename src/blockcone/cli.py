@@ -112,12 +112,15 @@ def _load_any_bundle(path):
     """(Pi-space point set, manifest, example bundle or None)."""
     with open(path) as fh:
         data = json.load(fh)
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "example36":
         bundle = example36.load_bundle(path, strict=False)
         return bundle.B, bundle.manifest(), bundle
     if kind == "mps":
-        man = data["manifest"]
+        pg.check_fields(data, path, int_lists=("B",))
+        man = data.get("manifest")
+        pg.check_fields(man, f"{path}: manifest",
+                        ints=("q1", "n", "r", "xprime_index"))
         model = make_model(man["q1"], man["n"], man["r"],
                            xprime_index=man["xprime_index"])
         B = PointSet(model.pi_space, np.array(data["B"], dtype=np.int64))
@@ -127,17 +130,19 @@ def _load_any_bundle(path):
 
 def cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    known = {"blocking", "minimal", "trivial", "planar", "spectrum"}
+    known = {"blocking", "minimal", "trivial", "planar", "spectrum",
+             "tangency"}
     bad = set(checks) - known
     if bad:
         raise GeometryError(f"unknown checks: {sorted(bad)}")
     B, manifest, bundle = _load_any_bundle(args.bundle)
+    for check in ("spectrum", "tangency"):
+        if check in checks and bundle is None:
+            raise GeometryError(f"{check} check needs an example36 bundle")
 
     spectra = None
     spectrum_ok = True
     if "spectrum" in checks:
-        if bundle is None:
-            raise GeometryError("spectrum check needs an example36 bundle")
         spectra = {}
         t0 = time.perf_counter()
         for target in ("bbar", "btilde"):
@@ -149,14 +154,26 @@ def cmd_verify(args) -> int:
                 spectrum_ok = False
         spectrum_ms = (time.perf_counter() - t0) * 1e3
 
+    tangency = None
+    if "tangency" in checks:
+        t0 = time.perf_counter()
+        try:
+            tangency = example36.tangency_scan(bundle)
+        except GeometryError as exc:
+            tangency = {"violation": str(exc)}
+        tangency_ms = (time.perf_counter() - t0) * 1e3
+
     rep = verify.run_checks(B, manifest, checks, spectra=spectra)
     if spectra is not None:
         rep.timings_ms["spectrum"] = round(spectrum_ms, 3)
     out = rep.to_dict()
+    if tangency is not None:
+        out["tangency"] = tangency
+        out["timings_ms"]["tangency"] = round(tangency_ms, 3)
     out["config"] = {"command": "verify", "bundle": args.bundle,
                      "checks": checks}
 
-    ok = spectrum_ok
+    ok = spectrum_ok and (tangency is None or "violation" not in tangency)
     if "blocking" in checks:
         ok &= out["blocking"]["blocking"]
     if "minimal" in checks:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pg
+from . import pg, verify
 from .gf import cached_field, is_prime, subfield_embed
 from .linalg import kernel_basis, matmul, rref
 from .model import BCModel, make_model
@@ -292,11 +292,6 @@ def _bbar_build(model: BCModel, r_pt, V: PointSet, L: Subspace, s_pt,
     return bbar
 
 
-def bbar_build(frame: Example36Frame) -> PointSet:
-    return _bbar_build(frame.model, frame.r_pt, frame.V, frame.L, frame.s_pt,
-                       frame.theta)
-
-
 def t_tilde_find(model: BCModel, t, r_pt, p_vec) -> np.ndarray:
     """The unique point of X' \\ {t} lying, over the vertex p, above the
     regulus of the line <t, r_pt>, cross-checked against the regulus
@@ -400,10 +395,6 @@ def _btilde_build(model: BCModel, h, lines_xp) -> PointSet:
     return btilde
 
 
-def btilde_build(frame: Example36Frame) -> PointSet:
-    return _btilde_build(frame.model, frame.h, frame.lines_xp)
-
-
 def example_build(q: int, seed: int = 0) -> Bundle:
     """Full pipeline: frame, Bbar, Btilde, and B = K(p, Bbar u Btilde) u {X}
     in PG(3, q^6) coordinates, with the closed-form cardinalities enforced."""
@@ -419,16 +410,86 @@ def example_build(q: int, seed: int = 0) -> Bundle:
 
 
 # ---------------------------------------------------------------------------
-# vectorized membership machinery for the hyperplane family of Pi_3
+# the hyperplane family of Pi_3, counted on the cone's Pi-image
+
+# cells per bincount when a histogram is taken over the whole counter
+_HIST_CHUNK = 1 << 22
+
+
+def cone_image(model: BCModel, ps: PointSet) -> PointSet:
+    """Pi_r-image of the affine part of the cone K(p, ps): the q1 points
+    u + a.p, a in GF(q1), of each affine point u of ps.  Points of ps inside
+    Sigma are dropped, since their cone lines stay inside Sigma.  Two affine
+    points on one line through p would share their image, so that is
+    refused."""
+    f = model.tower.sub
+    vecs = ps.vecs()
+    aff = vecs[vecs[:, -1] != 0]
+    ap = f.mul_table[np.arange(f.q)[:, None], model.vertex_p[None, :]]
+    pts = f.add_table[aff[:, None, :], ap[None, :, :]].reshape(-1, vecs.shape[1])
+    image = PointSet(model.pi_space, pg.rank_batch(model.pi_space,
+                                                   model.bc_to_pg_batch(pts)))
+    if len(image) != len(pts):
+        raise GeometryError("two points of the set lie on one line through p")
+    return image
+
+
+def family_ranks(model: BCModel) -> tuple[np.ndarray, np.ndarray]:
+    """(X-ranks, X'-subfamily), both sorted: the dual ranks of the
+    hyperplanes of Pi_r through the point of X, which are exactly the ranks
+    outside the family, and the ranks of the family members through the
+    point of X'."""
+    sp = model.pi_space
+    x_ranks = pg.hyperplanes_through(sp, model.spread_to_pg_vec(model.x_index))
+    xp_ranks = pg.hyperplanes_through(
+        sp, model.spread_to_pg_vec(model.xprime_index))
+    return x_ranks, np.setdiff1d(xp_ranks, x_ranks, assume_unique=True)
+
+
+def member_ranks(x_ranks: np.ndarray, k) -> np.ndarray:
+    """Dual ranks of the k-th family members (0-based, in rank order), i.e.
+    of the k-th ranks missing from the sorted x_ranks: x_ranks[j] - j ranks
+    of the family lie below x_ranks[j]."""
+    k = np.asarray(k, dtype=np.int64)
+    return k + np.searchsorted(x_ranks - np.arange(x_ranks.size), k,
+                               side="right")
+
+
+def _family_histogram(counts: np.ndarray, x_ranks: np.ndarray) -> np.ndarray:
+    """Frequency of each counter value over the family: a bincount over the
+    whole counter in chunks, minus the cells through X."""
+    hist = -np.bincount(counts[x_ranks], minlength=256)
+    for lo in range(0, counts.size, _HIST_CHUNK):
+        hist += np.bincount(counts[lo:lo + _HIST_CHUNK], minlength=256)
+    return hist
+
+
+def _first_member_with(counts: np.ndarray, x_ranks: np.ndarray,
+                       values) -> int:
+    """Least family rank whose counter holds one of the values."""
+    lut = np.zeros(256, dtype=bool)
+    lut[list(values)] = True
+    for lo in range(0, counts.size, _HIST_CHUNK):
+        hits = lo + np.flatnonzero(lut[counts[lo:lo + _HIST_CHUNK]])
+        hits = hits[~verify.in_sorted(x_ranks, hits)]
+        if hits.size:
+            return int(hits[0])
+    raise AssertionError("no family member holds the values")
+
+
+def _as_dict(hist: np.ndarray) -> dict:
+    return {v: int(c) for v, c in enumerate(hist) if c}
 
 
 class FamilyScanner:
     """Evaluates, for every hyperplane H of Pi_3 missing X at once, whether a
     Sigma'-point u lies in S7 = <blowup(H), p>.
 
-    With F(u) the big-field linear form of H evaluated on u's coordinate
-    blocks, u lies in S7 iff F(u) is a GF(q^2)-multiple of F(p), F(p) never
-    being zero because p sits on X which H misses."""
+    This is the definition-level S7 membership test, kept as the oracle that
+    the counts of `spectrum_scan` and `tangency_scan` are checked against on
+    small spaces.  With F(u) the big-field linear form of H evaluated on u's
+    coordinate blocks, u lies in S7 iff F(u) is a GF(q^2)-multiple of F(p),
+    F(p) never being zero because p sits on X which H misses."""
 
     def __init__(self, model: BCModel):
         self.model = model
@@ -485,11 +546,20 @@ class FamilyScanner:
 
 def spectrum_scan(bundle: Bundle, target: str, structural_sample: int = 200,
                   rng_seed: int = 0) -> dict:
-    """Intersection spectrum of Bbar or Btilde over the whole family; any
-    value outside the proved spectra aborts with the offending dual point."""
+    """Intersection spectrum of Bbar or Btilde over the family of the
+    hyperplanes H of Pi_3 missing X; any value outside the proved spectra
+    aborts with the offending dual point.
+
+    Lemma 2: for H missing X, |S_aff cap <blowup(H), p>| =
+    |K(p, S)_aff cap H|.  So the spectrum is the incidence count of the
+    cone's Pi-image (`cone_image`), taken over all hyperplanes by
+    `verify.blocking_check` and read on the family members only.  The
+    points of Theta in Bbar are dropped: S7 meets X only in p, and Theta =
+    Gamma cap X misses p, so they lie in no member's S7.  A member's count is
+    at most |S| (217 for Btilde at q = 3), below the counter's saturation at
+    255."""
     fr = bundle.frame
     q = fr.q
-    scanner = FamilyScanner(fr.model)
     if target == "bbar":
         ps, allowed = fr.bbar, {0, 1, q, q + 1}
     elif target == "btilde":
@@ -497,33 +567,34 @@ def spectrum_scan(bundle: Bundle, target: str, structural_sample: int = 200,
         ps, allowed = fr.btilde, {0, 1, 2, 3, q * q, bt}
     else:
         raise GeometryError("target must be 'bbar' or 'btilde'")
-    counts = scanner.counts(ps)
-    bad = ~np.isin(counts, sorted(allowed))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    model = fr.model
+    counts = verify.blocking_check(cone_image(model, ps)).counts
+    x_ranks, xp_members = family_ranks(model)
+    hist = _family_histogram(counts, x_ranks)
+    bad = set(np.flatnonzero(hist).tolist()) - allowed
+    if bad:
+        rank = _first_member_with(counts, x_ranks, bad)
+        dual = pg.unrank(model.pi_space, rank)
         raise GeometryError(
-            f"spectrum violation: |S7 cap {target}| = {counts[i]} at dual "
-            f"{scanner.duals[i].tolist()} (rank {scanner.ranks[i]})")
-    result = {"target": target,
-              "histogram": {int(v): int(c) for v, c in
-                            zip(*np.unique(counts, return_counts=True))}}
+            f"spectrum violation: |S7 cap {target}| = {counts[rank]} at dual "
+            f"{dual.tolist()} (rank {rank})")
+    result = {"target": target, "histogram": _as_dict(hist)}
     if target == "btilde":
-        ht = counts[scanner.ht_mask]
-        if not set(np.unique(ht).tolist()) <= {0, len(fr.btilde)}:
+        ht = np.bincount(counts[xp_members], minlength=256)
+        if not set(np.flatnonzero(ht).tolist()) <= {0, len(fr.btilde)}:
             raise GeometryError("dichotomy on the X'-family fails")
-        off = counts[~scanner.ht_mask]
-        if not set(np.unique(off).tolist()) <= {1, 2, 3, q * q}:
+        if not set(np.flatnonzero(hist - ht).tolist()) <= {1, 2, 3, q * q}:
             raise GeometryError("off-X'-family spectrum violation")
-        result["ht_histogram"] = {int(v): int(c) for v, c in
-                                  zip(*np.unique(ht, return_counts=True))}
+        result["ht_histogram"] = _as_dict(ht)
     if structural_sample:
-        result["structural"] = _structural_checks(bundle, scanner,
-                                                  structural_sample, rng_seed)
+        result["structural"] = _structural_checks(
+            bundle, x_ranks, xp_members, structural_sample, rng_seed)
     return result
 
 
-def _structural_checks(bundle: Bundle, scanner: FamilyScanner,
-                       sample: int, rng_seed: int) -> dict:
+def _structural_checks(bundle: Bundle, x_ranks: np.ndarray,
+                       xp_members: np.ndarray, sample: int,
+                       rng_seed: int) -> dict:
     """Sampled dimension facts: S7 cap <Bbar> is a line off Sigma (through t
     on the X'-subfamily, and then contained in <t, r, s> whenever real), and
     S7 cap <Btilde> is a line off Sigma outside that subfamily."""
@@ -535,15 +606,18 @@ def _structural_checks(bundle: Bundle, scanner: FamilyScanner,
     cone_v = cone(span_in(sp, [fr.r_pt]), fr.V)
     trs = span_in(sp, [fr.t, fr.r_pt, fr.s_pt])
     btilde_span = span([model.Xprime, fr.h])
-    idx = rng.choice(len(scanner.ranks), size=min(sample, len(scanner.ranks)),
+    family_size = model.pi_space.n_points - x_ranks.size
+    idx = rng.choice(family_size, size=min(sample, family_size),
                      replace=False)
+    ranks = member_ranks(x_ranks, idx)
     n_ht = n_off = n_real_t = 0
-    for i in idx:
-        S7 = scanner.s7_subspace(int(i))
+    for rank, in_ht in zip(ranks, verify.in_sorted(xp_members, ranks)):
+        dual = pg.unrank(model.pi_space, int(rank))
+        S7 = span([model.hyperplane_blowup(dual), model.vertex_p])
         line = meet(S7, S3)
         if line.dim != 1 or model.sigma.contains_sub(line):
             raise GeometryError("S7 cap <Bbar-solid> is not a line off Sigma")
-        if scanner.ht_mask[i]:
+        if in_ht:
             n_ht += 1
             if not line.contains(fr.t):
                 raise GeometryError("X'-subfamily meet line misses t")
@@ -564,33 +638,44 @@ def _structural_checks(bundle: Bundle, scanner: FamilyScanner,
 
 
 def tangency_scan(bundle: Bundle) -> dict:
-    """For every point u of (Bbar u Btilde) \\ Sigma, a family element meeting
-    Bbar u Btilde exactly in u, with the witness located in the X'-subfamily
-    for u in Bbar and outside it for u in Btilde."""
+    """For every point u of (Bbar u Btilde) \\ Sigma, the least family
+    member meeting Bbar u Btilde exactly in u, with the witness located in
+    the X'-subfamily for u in Bbar and outside it for u in Btilde.
+
+    By Lemma 2 the members meeting the union exactly in u are the hyperplanes
+    missing X through one of u's q1 cone-image points whose count over the
+    union's image is 1: a minimality witness of the image point with the
+    X'-side condition added.  No cell through X has count 1: the q1 image
+    points of u lie on one line of Pi_3 through X, so a hyperplane through X
+    and one of them holds all q1."""
     fr = bundle.frame
-    scanner = FamilyScanner(fr.model)
+    model = fr.model
     union = fr.bbar.union(fr.btilde)
-    vecs = union.vecs()
-    core = vecs[vecs[:, -1] != 0]
-    member = np.stack([scanner.membership(u) for u in core], axis=1)
-    totals = member.sum(axis=1)
-    bbar_ranks = set(int(x) for x in fr.bbar.ranks)
-    sp = fr.model.sigma_prime
+    counts = verify.blocking_check(cone_image(model, union)).counts
+    _, xp_members = family_ranks(model)
+    f = model.tower.sub
+    ap = f.mul_table[np.arange(f.q)[:, None], model.vertex_p[None, :]]
     witnesses = []
     missing = []
-    for col, u in enumerate(core):
-        u_rank = int(pg.rank_batch(sp, u[None, :])[0])
-        in_bbar = u_rank in bbar_ranks
-        expected = scanner.ht_mask if in_bbar else ~scanner.ht_mask
-        cand = member[:, col] & (totals == 1) & expected
-        if not np.any(cand):
+    for u_rank, u in zip(union.ranks, union.vecs()):
+        if u[-1] == 0:
+            continue
+        u_rank = int(u_rank)
+        in_bbar = u_rank in fr.bbar
+        image = model.bc_to_pg_batch(f.add_table[u[None, :], ap])
+        hyps = np.concatenate([pg.incident_dual_ranks(model.pi_space, w)
+                               for w in image])
+        cand = hyps[counts[hyps] == 1]
+        cand = cand[verify.in_sorted(xp_members, cand) == in_bbar]
+        if not cand.size:
             missing.append(u_rank)
             continue
-        i = int(np.argmax(cand))
-        witnesses.append({"point": u_rank,
-                          "witness": int(scanner.ranks[i]),
-                          "in_xprime_family": bool(scanner.ht_mask[i]),
-                          "part": "bbar" if in_bbar else "btilde"})
+        best = int(cand.min())
+        witnesses.append({
+            "point": u_rank,
+            "witness": best,
+            "in_xprime_family": bool(verify.in_sorted(xp_members, [best])[0]),
+            "part": "bbar" if in_bbar else "btilde"})
     if missing:
         raise GeometryError(f"points without tangent witness: {missing}")
     return {"witnesses": witnesses, "count": len(witnesses)}
@@ -653,8 +738,10 @@ def load_bundle(path, strict: bool = True) -> Bundle:
     and honestly fail)."""
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("kind") != "example36":
+    if not isinstance(data, dict) or data.get("kind") != "example36":
         raise GeometryError(f"{path} is not an example bundle")
+    pg.check_fields(data, path, ints=("q", "seed"),
+                    int_lists=("bbar", "btilde", "B"))
     bundle = example_build(int(data["q"]), int(data["seed"]))
     mismatch = [key for key, ps in (("bbar", bundle.frame.bbar),
                                     ("btilde", bundle.frame.btilde),

@@ -302,10 +302,6 @@ class Subspace:
     def full(cls, space: ProjSpace) -> "Subspace":
         return cls(space, np.eye(space.m + 1, dtype=np.int64))
 
-    @classmethod
-    def from_points(cls, space: ProjSpace, vecs) -> "Subspace":
-        return cls(space, np.atleast_2d(np.asarray(vecs, dtype=np.int64)))
-
     def contains(self, vec) -> bool:
         return linalg.row_space_contains(self.mat, self.pivots,
                                          np.asarray(vec), self.space.field)
@@ -427,6 +423,28 @@ class PointSet:
 
     def intersect(self, other: "PointSet") -> "PointSet":
         return PointSet(self.space, np.intersect1d(self.ranks, other.ranks))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_fields(data, where: str, ints=(), int_lists=()) -> None:
+    """Raise GeometryError unless `data` is a JSON object holding an integer
+    under each key of `ints` and a list of integers under each key of
+    `int_lists`."""
+    if not isinstance(data, dict):
+        raise GeometryError(f"{where} is not a JSON object")
+    for key in (*ints, *int_lists):
+        if key not in data:
+            raise GeometryError(f"{where} has no {key!r}")
+    for key in ints:
+        if not _is_int(data[key]):
+            raise GeometryError(f"{where}: {key!r} is not an integer")
+    for key in int_lists:
+        if not (isinstance(data[key], list)
+                and all(_is_int(x) for x in data[key])):
+            raise GeometryError(f"{where}: {key!r} is not a list of integers")
 
 
 def save_point_set(ps: PointSet, path) -> None:

@@ -141,7 +141,7 @@ def triviality_check(ps: PointSet) -> bool:
         others = vecs[i + 1:]
         for lam in range(1, space.q):
             pts = f.add_table[vecs[i], f.mul_table[lam, others]]
-            keep = _in_sorted(ps.ranks, pg.rank_batch(
+            keep = in_sorted(ps.ranks, pg.rank_batch(
                 space, pg.normalize_batch(space, pts)))
             others = others[keep]
             if not len(others):
@@ -151,7 +151,8 @@ def triviality_check(ps: PointSet) -> bool:
     return False
 
 
-def _in_sorted(sorted_ranks: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def in_sorted(sorted_ranks: np.ndarray, ranks) -> np.ndarray:
+    """Membership of each rank in a sorted, nonempty rank array."""
     pos = np.searchsorted(sorted_ranks, ranks)
     pos[pos == sorted_ranks.size] = 0
     return sorted_ranks[pos] == ranks

@@ -1,6 +1,7 @@
 """Front-end: exit codes, report schemas, end-to-end flows."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +79,77 @@ def test_verify_spectrum_check(bundle_path, tmp_path):
     assert "spectrum" in data["timings_ms"]
 
 
+def test_verify_tangency_check(bundle_path, tmp_path, monkeypatch):
+    report = tmp_path / "rt.json"
+    rc = run(["verify", "--bundle", str(bundle_path), "--checks", "tangency",
+              "--report", str(report)])
+    assert rc == 0
+    data = json.loads(report.read_text())
+    assert data["verified"] is True
+    assert data["tangency"]["count"] == 53
+    assert len(data["tangency"]["witnesses"]) == 53
+    assert "tangency" in data["timings_ms"]
+
+    def no_witness(bundle):
+        raise example36.GeometryError("points without tangent witness: [0]")
+
+    monkeypatch.setattr(example36, "tangency_scan", no_witness)
+    assert run(["verify", "--bundle", str(bundle_path), "--checks", "tangency",
+                "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["verified"] is False
+    assert "without tangent witness" in data["tangency"]["violation"]
+
+
+@pytest.mark.parametrize("edit", [
+    {"seed": None}, {"q": None}, {"B": None}, {"bbar": None},
+    {"q": "2"}, {"seed": 0.5}, {"q": True}, {"B": "all"}, {"btilde": [1, "x"]},
+])
+def test_malformed_example_bundle_exits_2(bundle_path, tmp_path, capsys,
+                                          edit):
+    data = json.loads(bundle_path.read_text())
+    for key, value in edit.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["verify", "--bundle", str(bad)]) == 2
+    assert run(["spectrum", "--bundle", str(bad), "--target", "bbar"]) == 2
+    key = next(iter(edit))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(repr(key) in line for line in err)
+    with pytest.raises(example36.GeometryError):
+        example36.load_bundle(bad)
+
+
+@pytest.mark.parametrize("edit", [
+    {"manifest": None}, {"B": None}, {"manifest": {"q1": 2}},
+    {"B": [0, 1.5]},
+])
+def test_malformed_mps_bundle_exits_2(tmp_path, capsys, edit):
+    data = {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": 2,
+                                        "xprime_index": 1}, "B": [0, 1]}
+    for key, value in edit.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["verify", "--bundle", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_object_bundle_exits_2(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    assert run(["verify", "--bundle", str(bad)]) == 2
+    assert run(["spectrum", "--bundle", str(bad), "--target", "bbar"]) == 2
+
+
 def test_verify_tampered_bundle_fails(bundle_path, tmp_path):
     bad = tmp_path / "bad.json"
     data = json.loads(bundle_path.read_text())
@@ -110,21 +182,29 @@ def test_spectrum_command(bundle_path, tmp_path):
     assert set(map(int, data["ht_histogram"])) <= {0, 37}
 
 
-def test_infeasible_family_scan_exits_2(tmp_path, monkeypatch, capsys):
-    # at q = 3 the family arrays would take about 15.5 GB: the scan must stop
-    # before allocating them, with a usage error, not a spectrum violation
-    path = tmp_path / "q3.json"
-    example36.save_bundle(example36.example_build(3, 0), path)
+def test_infeasible_family_scan_exits_2(monkeypatch, capsys, tmp_path):
+    # a q = 4 example lives in PG(3, 4096): counting its cone image asks for
+    # 6.9e10 hyperplane counters, so both spectrum entry points stop before
+    # allocating them, with a usage error, not a spectrum violation
+    image = PointSet(ProjSpace(3, cached_field(2, 12)), np.array([0]))
+    stub = SimpleNamespace(frame=SimpleNamespace(q=4, model=None,
+                                                 bbar=image, btilde=image),
+                           B=image)
+    monkeypatch.setattr(example36, "load_bundle",
+                        lambda path, strict=True: stub)
+    monkeypatch.setattr(cli, "_load_any_bundle",
+                        lambda path: (image, {}, stub))
+    monkeypatch.setattr(example36, "cone_image", lambda model, ps: ps)
 
-    def refuse(model):
-        raise AssertionError("family arrays were allocated")
+    def refuse(space, vec):
+        raise AssertionError("counting started")
 
-    monkeypatch.setattr(example36, "pi_hyperplane_ranks_avoiding_x", refuse)
+    monkeypatch.setattr(pg, "incident_dual_ranks", refuse)
     out = tmp_path / "spec.json"
-    assert run(["spectrum", "--bundle", str(path), "--target", "bbar",
+    assert run(["spectrum", "--bundle", "q4.json", "--target", "bbar",
                 "--out", str(out)]) == 2
     report = tmp_path / "rep.json"
-    assert run(["verify", "--bundle", str(path), "--checks", "spectrum",
+    assert run(["verify", "--bundle", "q4.json", "--checks", "spectrum",
                 "--report", str(report)]) == 2
     assert not out.exists() and not report.exists()
     err = capsys.readouterr().err.splitlines()

@@ -1,5 +1,9 @@
 """The non-planar PG(3, q^6) example at q = 2: frame invariants, cardinality
-formulas, spectra, tangency, and the cardinality excluder."""
+formulas, spectra, tangency, and the cardinality excluder; and the spectrum
+theorems at q = 3."""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -144,8 +148,13 @@ def _least_h_by_full_scan(model, gamma_prime, pi):
 
 
 @pytest.fixture(scope="module")
-def frames_q2():
-    return [ex.frame36_make(2, seed) for seed in range(8)]
+def bundles_q2():
+    return [ex.example_build(2, seed) for seed in range(8)]
+
+
+@pytest.fixture(scope="module")
+def frames_q2(bundles_q2):
+    return [b.frame for b in bundles_q2]
 
 
 def test_t_tilde_batch_matches_definition_scan(frames_q2):
@@ -233,6 +242,132 @@ def test_family_scanner_against_subspace_membership(bundle):
         for i in pos:
             S7 = sc.s7_subspace(int(i))
             assert bool(memb[i]) == S7.contains(u)
+
+
+def _family_scanner_oracle(bundle):
+    """Family counts and tangency witnesses from `FamilyScanner`'s direct S7
+    membership: the counts of Bbar, Btilde and their union on every family
+    member, and per affine point u of the union the least member rank with
+    u in S7, union count 1 and the expected X'-side (None if there is
+    none)."""
+    fr = bundle.frame
+    sc = ex.FamilyScanner(fr.model)
+    union = fr.bbar.union(fr.btilde)
+    vecs = union.vecs()
+    member = np.stack([sc.membership(u) for u in vecs], axis=1)
+    in_bbar = np.isin(union.ranks, fr.bbar.ranks)
+    counts = {"bbar": member[:, in_bbar].sum(axis=1),
+              "btilde": member[:, ~in_bbar].sum(axis=1),
+              "union": member.sum(axis=1)}
+    witnesses = []
+    for col in np.flatnonzero(vecs[:, -1] != 0):
+        side = sc.ht_mask if in_bbar[col] else ~sc.ht_mask
+        cand = member[:, col] & (counts["union"] == 1) & side
+        witnesses.append((int(union.ranks[col]),
+                          int(sc.ranks[np.argmax(cand)]) if cand.any()
+                          else None))
+    return sc, counts, witnesses
+
+
+@pytest.fixture(scope="module")
+def oracles_q2(bundles_q2):
+    return [_family_scanner_oracle(b) for b in bundles_q2]
+
+
+def _histogram(values):
+    v, c = np.unique(values, return_counts=True)
+    return dict(zip(v.tolist(), c.tolist()))
+
+
+def test_image_counts_match_family_scanner(bundles_q2, oracles_q2):
+    """Counting the cone's Pi-image gives FamilyScanner's counts on every
+    family member (Lemma 2); the X'-subfamily and the k-th member rank
+    agree too."""
+    rng = np.random.default_rng(0)
+    for b, (sc, counts, _) in zip(bundles_q2, oracles_q2):
+        fr = b.frame
+        for key, ps in (("bbar", fr.bbar), ("btilde", fr.btilde),
+                        ("union", fr.bbar.union(fr.btilde))):
+            cov = verify.blocking_check(ex.cone_image(fr.model, ps))
+            assert np.array_equal(cov.counts[sc.ranks], counts[key])
+        # the q1 image points of u share a line through X, so a cell through
+        # X holds a multiple of q1 (never 1, as tangency_scan relies on)
+        x_ranks, xp_members = ex.family_ranks(fr.model)
+        assert np.all(cov.counts[x_ranks] % fr.model.q1 == 0)
+        assert np.array_equal(xp_members, sc.ranks[sc.ht_mask])
+        k = np.concatenate([[0, len(sc.ranks) - 1],
+                            rng.choice(len(sc.ranks), 500, replace=False)])
+        assert np.array_equal(ex.member_ranks(x_ranks, k), sc.ranks[k])
+
+
+def test_scans_match_family_scanner(bundles_q2, oracles_q2):
+    for b, (sc, counts, witnesses) in zip(bundles_q2, oracles_q2):
+        for target in ("bbar", "btilde"):
+            res = ex.spectrum_scan(b, target, structural_sample=0)
+            assert res["histogram"] == _histogram(counts[target])
+        assert res["ht_histogram"] == _histogram(
+            counts["btilde"][sc.ht_mask])
+        tan = ex.tangency_scan(b)
+        assert [(w["point"], w["witness"])
+                for w in tan["witnesses"]] == witnesses
+
+
+def test_spectrum_violation_names_least_bad_member(bundle, oracles_q2):
+    """With Btilde's points added, Bbar leaves its spectrum; the error names
+    the least family member whose count is out of the set, as FamilyScanner
+    finds it."""
+    fr = bundle.frame
+    sc, counts, _ = oracles_q2[0]  # frame seed 0, as `bundle`
+    union = counts["union"]
+    i = int(np.argmax(~np.isin(union, [0, 1, 2, 3])))
+    broken = ex.Bundle(frame=dataclasses.replace(
+        fr, bbar=fr.bbar.union(fr.btilde)), B=bundle.B)
+    with pytest.raises(GeometryError, match=rf"\| = {union[i]} at dual "
+                       rf"{re.escape(str(sc.duals[i].tolist()))} "
+                       rf"\(rank {sc.ranks[i]}\)"):
+        ex.spectrum_scan(broken, "bbar", structural_sample=0)
+
+
+def test_first_bad_member_skips_cells_through_x():
+    x_ranks = np.array([2, 3, 7])
+    counts = np.zeros(10, dtype=np.uint8)
+    counts[[3, 5, 7]] = 9
+    assert ex._first_member_with(counts, x_ranks, {9}) == 5
+
+
+def test_cone_image_refuses_shared_lines(bundle):
+    """Two points on one line through p would make the image undercount."""
+    fr = bundle.frame
+    m = fr.model
+    f = m.tower.sub
+    u = fr.btilde.vecs()[0]
+    other = f.add_table[u, f.mul_table[1, m.vertex_p]]
+    ps = PointSet.from_vecs(m.sigma_prime, [u, other])
+    with pytest.raises(GeometryError, match="line through p"):
+        ex.cone_image(m, ps)
+
+
+def test_q3_spectrum_theorems():
+    """Both spectra at q = 3 over all q^18 family members (about a minute):
+    the values lie in the proved sets, each member is counted once, and the
+    double count sum(value x frequency) = |image| x Q^2 holds, every image
+    point lying on Q^2 members."""
+    q = 3
+    bundle = ex.example_build(q, 0)
+    bt = len(bundle.frame.btilde)
+    rb = ex.spectrum_scan(bundle, "bbar", structural_sample=10)
+    rt = ex.spectrum_scan(bundle, "btilde", structural_sample=10)
+    for res, allowed, image in ((rb, {0, 1, q, q + 1}, q**6),
+                                (rt, {0, 1, 2, 3, q * q, bt}, bt * q * q)):
+        hist = res["histogram"]
+        assert set(hist) <= allowed
+        assert sum(hist.values()) == q**18
+        assert sum(v * c for v, c in hist.items()) == image * q**12
+        assert res["structural"]["sampled"] == 10
+    assert sum(v * c for v, c in rb["histogram"].items()) == 387_420_489
+    assert sum(v * c for v, c in rt["histogram"].items()) == 1_037_904_273
+    assert set(rt["ht_histogram"]) <= {0, bt}
+    assert sum(rt["ht_histogram"].values()) == q**12
 
 
 def test_tangency_witnesses(bundle):
