@@ -2,7 +2,7 @@
 exhaustive certification."""
 
 from .gf import (FieldError, FieldSpec, FieldTower, cached_field,
-                 cached_tower, field_make, subfield_embed)
+                 cached_tower, subfield_embed)
 from .model import BCModel, Spread, make_model
 from .mps import MPSFrame, cone, frame_make, mps_build, mps_size_predict
 from .pg import (GeometryError, PointSet, ProjSpace, Subspace,
@@ -11,7 +11,7 @@ from .pg import (GeometryError, PointSet, ProjSpace, Subspace,
 __all__ = [
     "BCModel", "FieldError", "FieldSpec", "FieldTower", "GeometryError",
     "MPSFrame", "PointSet", "ProjSpace", "Spread", "Subspace",
-    "cached_field", "cached_tower", "cone", "field_make", "frame_make",
+    "cached_field", "cached_tower", "cone", "frame_make",
     "load_point_set", "make_model", "meet", "mps_build", "mps_size_predict",
     "save_point_set", "span", "span_in", "subfield_embed",
 ]

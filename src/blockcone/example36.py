@@ -20,7 +20,7 @@ import numpy as np
 from . import pg, verify
 from .gf import cached_field, is_prime, subfield_embed
 from .linalg import kernel_basis, matmul, rref
-from .model import BCModel, make_model
+from .model import BCModel, make_model, prime_power
 from .mps import MPSFrame, cone, mps_build, mps_size_predict, \
     pi_hyperplane_ranks_avoiding_x
 from .pg import GeometryError, PointSet, ProjSpace, Subspace, meet, span, span_in
@@ -82,25 +82,11 @@ class Bundle:
         }
 
 
-def _check_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            e = 0
-            m = q
-            while m > 1:
-                if m % p:
-                    raise GeometryError(f"{q} is not a prime power")
-                m //= p
-                e += 1
-            return p, e
-    raise GeometryError(f"{q} is not a prime power")
-
-
 def frame36_make(q: int, seed: int = 0) -> Example36Frame:
     """Deterministic frame for the PG(3, q^6) example: X = element 0,
     X' = element 1 + (seed mod 8), p = least point of X, Gamma = the least
     hyperplane of Sigma containing X' and missing p."""
-    _check_prime_power(q)
+    prime_power(q)  # make_model(q * q) alone would accept q = -3
     model = make_model(q * q, 3, 3, xprime_index=1 + seed % 8)
     sp = model.sigma_prime
     rn = 9
@@ -191,7 +177,7 @@ def baer_subplane(pi: Subspace, q_tilde: np.ndarray, tangent_line: Subspace,
     tangent line exactly in {q_tilde}."""
     space = pi.space
     big = space.field  # GF(q^2)
-    p, e = _check_prime_power(q)
+    p, e = prime_power(q)
     small = cached_field(p, e)
     emb = subfield_embed(small, big)
 
@@ -203,7 +189,7 @@ def baer_subplane(pi: Subspace, q_tilde: np.ndarray, tangent_line: Subspace,
 
     coeff_small = pg.unrank_batch(ProjSpace(2, small),
                                   np.arange(q * q + q + 1))
-    coeff_emb = emb.table[coeff_small]
+    coeff_emb = emb[coeff_small]
 
     n = len(cand)
     offset = seed % n
@@ -506,7 +492,7 @@ class FamilyScanner:
                               np.broadcast_to(xp_vec, self.duals.shape)) == 0
         sup = model.tower.sup
         lut = np.zeros(sup.q, dtype=bool)
-        lut[model.tower.embedding.table] = True
+        lut[model.tower.embedding] = True
         self._in_small = lut
         self._fp = self._form_values(model.vertex_p)
         if np.any(self._fp == 0):
@@ -524,7 +510,7 @@ class FamilyScanner:
         for i in range(r):
             term = sup.mul_table[self.duals[:, i], int(big[i])]
             acc = term if acc is None else sup.add_table[acc, term]
-        last = int(model.tower.embedding.table[u[-1]])
+        last = int(model.tower.embedding[u[-1]])
         return sup.add_table[acc, sup.mul_table[self.duals[:, r], last]]
 
     def membership(self, u) -> np.ndarray:
@@ -544,8 +530,8 @@ class FamilyScanner:
         return span([blow, self.model.vertex_p])
 
 
-def spectrum_scan(bundle: Bundle, target: str, structural_sample: int = 200,
-                  rng_seed: int = 0) -> dict:
+def spectrum_scan(bundle: Bundle, target: str,
+                  structural_sample: int = 200) -> dict:
     """Intersection spectrum of Bbar or Btilde over the family of the
     hyperplanes H of Pi_3 missing X; any value outside the proved spectra
     aborts with the offending dual point.
@@ -588,20 +574,19 @@ def spectrum_scan(bundle: Bundle, target: str, structural_sample: int = 200,
         result["ht_histogram"] = _as_dict(ht)
     if structural_sample:
         result["structural"] = _structural_checks(
-            bundle, x_ranks, xp_members, structural_sample, rng_seed)
+            bundle, x_ranks, xp_members, structural_sample)
     return result
 
 
 def _structural_checks(bundle: Bundle, x_ranks: np.ndarray,
-                       xp_members: np.ndarray, sample: int,
-                       rng_seed: int) -> dict:
+                       xp_members: np.ndarray, sample: int) -> dict:
     """Sampled dimension facts: S7 cap <Bbar> is a line off Sigma (through t
     on the X'-subfamily, and then contained in <t, r, s> whenever real), and
     S7 cap <Btilde> is a line off Sigma outside that subfamily."""
     fr = bundle.frame
     model = fr.model
     sp = model.sigma_prime
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     S3 = span([fr.pi, fr.r_pt])
     cone_v = cone(span_in(sp, [fr.r_pt]), fr.V)
     trs = span_in(sp, [fr.t, fr.r_pt, fr.s_pt])

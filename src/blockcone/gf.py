@@ -8,7 +8,6 @@ every "least element" tie-break elsewhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -19,6 +18,13 @@ _MAX_ORDER = 1 << 13
 
 class FieldError(ValueError):
     pass
+
+
+def _digit_rows(count: int, base: int, width: int) -> np.ndarray:
+    """(count, width) int64 base-`base` digits of 0..count-1, least
+    significant first."""
+    n = np.arange(count, dtype=np.int64)
+    return np.stack([n // base**i % base for i in range(width)], axis=1)
 
 
 def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
@@ -98,9 +104,9 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """GF(p^k) with an explicit monic irreducible modulus.
 
-    Immutable; all operations are pure.  Dense add/neg/mul/inv numpy tables,
-    built on first use, drive both the scalar API and the vectorized geometry
-    kernels; fields of more than 8192 elements are refused.
+    Immutable.  Elements are operated on only through the dense
+    add/neg/mul/inv numpy tables, built on first use; fields of more than
+    8192 elements are refused.
     """
 
     def __init__(self, p: int, k: int, modulus=None):
@@ -147,11 +153,7 @@ class FieldSpec:
     @cached_property
     def _tables(self) -> dict:
         p, k, q = self.p, self.k, self.q
-        digs = np.zeros((q, k), dtype=np.int64)
-        n = np.arange(q)
-        for i in range(k):
-            digs[:, i] = n % p
-            n = n // p
+        digs = _digit_rows(q, p, k)
         pw = p ** np.arange(k)
 
         add = np.zeros((q, q), dtype=np.int32)
@@ -205,113 +207,39 @@ class FieldSpec:
     def inv_table(self) -> np.ndarray:
         return self._tables["inv"]
 
-    # -- scalar ops --------------------------------------------------------
-
-    def _check(self, *els):
-        for a in els:
-            if not 0 <= a < self.q:
-                raise FieldError(f"{a} is not an element of {self}")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.add_table[a, b])
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise FieldError("inverse of zero")
-        return int(self.inv_table[a])
-
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
-
-    @property
-    def generator(self) -> int:
-        """The residue class of x (encoding p); a basis seed, not necessarily
-        a multiplicative generator."""
-        if self.k == 1:
-            raise FieldError("prime field has no extension generator")
-        return self.p
-
-    def eval_poly(self, coeffs, x: int) -> int:
-        """Evaluate a polynomial with prime-subfield coefficients at x."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c % self.p)
-        return acc
-
-
-def field_make(p: int, k: int, modulus=None) -> FieldSpec:
-    return FieldSpec(p, k, modulus)
-
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubfieldEmbedding:
-    """Field homomorphism GF(p^t) -> GF(p^k), t | k, as a dense image table."""
-
-    sub: FieldSpec
-    sup: FieldSpec
-    table: np.ndarray = field(compare=False)
-
-    def __call__(self, a: int) -> int:
-        return int(self.table[a])
-
-
-def subfield_embed(sub: FieldSpec, sup: FieldSpec) -> SubfieldEmbedding:
-    """Deterministic embedding: the image of sub's generator is the least root
-    (in encoding order) of sub's modulus inside sup."""
+def subfield_embed(sub: FieldSpec, sup: FieldSpec) -> np.ndarray:
+    """Image table of the field homomorphism GF(p^t) -> GF(p^k), t | k: the
+    image of sub's generator is the least root (in encoding order) of sub's
+    modulus inside sup."""
     if sub.p != sup.p or sup.k % sub.k != 0:
         raise FieldError(f"no embedding of {sub} into {sup}")
     if sub.k == 1:
-        table = np.arange(sub.q, dtype=np.int64)
-        return SubfieldEmbedding(sub, sup, table)
-    root = None
-    for x in range(sup.q):
-        if sup.eval_poly(sub.modulus, x) == 0:
-            root = x
-            break
-    if root is None:
+        return np.arange(sub.q, dtype=np.int64)
+    add, mul = sup.add_table, sup.mul_table
+    xs = np.arange(sup.q)
+    val = np.zeros(sup.q, dtype=np.int64)
+    for c in reversed(sub.modulus):  # Horner's rule at every element at once
+        val = add[mul[val, xs], c]
+    roots = np.flatnonzero(val == 0)
+    if not roots.size:
         raise FieldError("modulus has no root in the extension (impossible)")
     powers = [1]
     for _ in range(1, sub.k):
-        powers.append(sup.mul(powers[-1], root))
+        powers.append(int(mul[powers[-1], roots[0]]))
     table = np.zeros(sub.q, dtype=np.int64)
-    for a in range(sub.q):
-        img = 0
-        for c, pw in zip(_digits(a, sub.p, sub.k), powers):
-            img = sup.add(img, sup.mul(c, pw))
-        table[a] = img
-    emb = SubfieldEmbedding(sub, sup, table)
-    _validate_embedding(emb)
-    return emb
+    for digit, pw in zip(_digit_rows(sub.q, sub.p, sub.k).T, powers):
+        table = add[table, mul[digit, pw]]
+    table = table.astype(np.int64)
+    _validate_embedding(sub, sup, table)
+    return table
 
 
-def _validate_embedding(emb: SubfieldEmbedding):
-    sub, sup, t = emb.sub, emb.sup, emb.table
-    if len(np.unique(t)) != sub.q:
+def _validate_embedding(sub: FieldSpec, sup: FieldSpec, t: np.ndarray):
+    if np.bincount(t).max() != 1:
         raise FieldError("embedding not injective")
     if t[0] != 0 or t[1] != 1:
         raise FieldError("embedding does not fix 0 and 1")
@@ -333,21 +261,13 @@ def _validate_embedding(emb: SubfieldEmbedding):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowupBasis:
-    """n elements of the big field forming a basis over the small field."""
-
-    sub: FieldSpec
-    sup: FieldSpec
-    elements: tuple[int, ...]
-
-
 class FieldTower:
     """GF(q1) inside GF(q1^n) with coordinate maps for field reduction.
 
-    Fixes the power basis {1, g, ..., g^(n-1)} of the big field's generator,
-    precomputes the decomposition big-element -> n small-field coordinates
-    and the reconstitution tables used by the geometry kernels.
+    Fixes the power basis {1, g, ..., g^(n-1)} of the big field's generator
+    g (the class of x, encoding p) as plain ints in `basis`, and tabulates
+    the reconstitution rec_tables[j][c] = e(c) * b_j together with its
+    inverse, the decomposition big-element -> n small-field coordinates.
     """
 
     def __init__(self, sub: FieldSpec, sup: FieldSpec):
@@ -357,46 +277,22 @@ class FieldTower:
         self.sup = sup
         self.n = sup.k // sub.k
         self.embedding = subfield_embed(sub, sup)
-        g = sup.generator if sup.k > 1 else 1
+        g = sup.p if sup.k > 1 else 1
         els = [1]
         for _ in range(1, self.n):
-            els.append(sup.mul(els[-1], g))
-        self.basis = BlowupBasis(sub, sup, tuple(els))
+            els.append(int(sup.mul_table[els[-1], g]))
+        self.basis = tuple(els)
+        self.rec_tables = sup.mul_table[self.embedding[None, :],
+                                        np.array(els)[:, None]].astype(np.int64)
 
-        p, K = sup.p, sup.k
-        t = sub.k
-        # GF(p)-matrix whose columns are digits of e(gs^u) * b_j
-        cols = []
-        for j in range(self.n):
-            for u in range(t):
-                # gs^u for gs the class of x in the subfield encodes as p^u
-                el = sup.mul(int(self.embedding.table[sub.p**u]), els[j])
-                cols.append(_digits(el, p, K))
-        M = np.array(cols, dtype=np.int64).T % p  # K x K
-        Minv = _gfp_matinv(M, p)
-
-        digs = np.zeros((sup.q, K), dtype=np.int64)
-        nn = np.arange(sup.q)
-        for i in range(K):
-            digs[:, i] = nn % p
-            nn = nn // p
-        lam = (digs @ Minv.T) % p  # coords in the (j,u) basis
-        lam = lam.reshape(sup.q, self.n, t)
-        pw = sub.p ** np.arange(t)
-        self.coords_table = lam @ pw  # (sup.q, n) small-field encodings
-
-        # reconstitution: rec[j][c] = e(c) * b_j
-        self.rec_tables = []
-        for j in range(self.n):
-            bj = els[j]
-            col = np.array([sup.mul(int(self.embedding.table[c]), bj)
-                            for c in range(sub.q)], dtype=np.int64)
-            self.rec_tables.append(col)
-        self.rec_tables = np.array(self.rec_tables)
-
-        if not np.array_equal(self.reconstitute(self.coords(np.arange(sup.q))),
-                              np.arange(sup.q)):
-            raise FieldError("tower coordinate maps are not mutually inverse")
+        # the q1^n coordinate rows reconstitute to distinct elements iff the
+        # basis is one over the subfield; coords_table inverts that bijection
+        rows = _digit_rows(sup.q, sub.q, self.n)
+        image = self.reconstitute(rows)
+        if not np.bincount(image, minlength=sup.q).all():
+            raise FieldError("tower basis is not a basis over the subfield")
+        self.coords_table = np.empty_like(rows)
+        self.coords_table[image] = rows
 
     def coords(self, a) -> np.ndarray:
         """Big-field element(s) -> (n,) / (N, n) small-field coordinates."""
@@ -414,30 +310,9 @@ class FieldTower:
     def blowup_matrix(self, a: int) -> np.ndarray:
         """n x n matrix over the small field of multiplication by a, i.e.
         coords(a*y) = M @ coords(y) for every big-field y."""
-        self.sup._check(a)
-        cols = [self.coords(self.sup.mul(a, b)) for b in self.basis.elements]
-        return np.array(cols, dtype=np.int64).T
-
-
-def _gfp_matinv(M: np.ndarray, p: int) -> np.ndarray:
-    n = M.shape[0]
-    A = np.concatenate([M % p, np.eye(n, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if A[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            raise FieldError("matrix not invertible over GF(p)")
-        A[[row, piv]] = A[[piv, row]]
-        A[row] = (A[row] * pow(int(A[row, col]), p - 2, p)) % p
-        for r in range(n):
-            if r != row and A[r, col]:
-                A[r] = (A[r] - A[r, col] * A[row]) % p
-        row += 1
-    return A[:, n:]
+        if not 0 <= a < self.sup.q:
+            raise FieldError(f"{a} is not an element of {self.sup}")
+        return self.coords(self.sup.mul_table[a, list(self.basis)]).T
 
 
 @lru_cache(maxsize=None)

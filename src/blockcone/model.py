@@ -8,29 +8,33 @@ desarguesian (n-1)-spread of Sigma obtained by field reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, pg
-from .gf import FieldTower, cached_tower, is_prime
+from .gf import FieldTower, cached_tower
 from .pg import GeometryError, ProjSpace, Subspace
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e and e >= 1; anything else is a GeometryError."""
+    if q >= 2:
+        # the least divisor above 1 is prime
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        e, m = 0, q
+        while m % p == 0:
+            m //= p
+            e += 1
+        if m == 1:
+            return p, e
+    raise GeometryError(f"{q} is not a prime power")
 
 
 def make_model(q1: int, n: int, r: int, xprime_index: int = 1) -> "BCModel":
     """Build the model for PG(r, q1^n) from the small-field order q1."""
-    p = None
-    for cand in range(2, q1 + 1):
-        if is_prime(cand) and q1 % cand == 0:
-            p = cand
-            break
-    t = 0
-    m = q1
-    while m > 1:
-        if m % p:
-            raise GeometryError(f"{q1} is not a prime power")
-        m //= p
-        t += 1
+    p, t = prime_power(q1)
     return BCModel(cached_tower(p, t, n), r, xprime_index)
 
 
@@ -65,7 +69,7 @@ class Spread:
         the tower basis b_0..b_{n-1} and x the big point of the index.  The
         rows are independent because y -> y.x is a GF(q1)-linear bijection."""
         x = pg.unrank(self.big_space, index)
-        basis = np.array(self.tower.basis.elements, dtype=np.int64)
+        basis = np.array(self.tower.basis, dtype=np.int64)
         scaled = self.tower.sup.mul_table[basis[:, None], x[None, :]]
         return self.tower.coords(scaled).reshape(self.n, self.r * self.n)
 
@@ -220,7 +224,7 @@ class BCModel:
             "r": self.r,
             "small_modulus": self.tower.sub.manifest(),
             "big_modulus": self.tower.sup.manifest(),
-            "basis": list(self.tower.basis.elements),
+            "basis": list(self.tower.basis),
             "x_index": self.x_index,
             "xprime_index": self.xprime_index,
             "vertex_p": self.vertex_p.tolist(),

@@ -55,7 +55,9 @@ def frame_make(model: BCModel, s: int, seed: int = 0) -> MPSFrame:
     """Deterministic frame: Omega spans the first s+1 independent points of X;
     Gamma is cut out of Sigma by greedily chosen least-rank hyperplane forms,
     each stripping one dimension off the remaining Omega part; Gamma' extends
-    Gamma by the least-rank affine point.  The seed rotates search starts."""
+    Gamma by the least-rank affine point.  The seed rotates search starts,
+    so consecutive seeds can give the same frame: on (q1, n, r, s) =
+    (2, 2, 2, 0) seeds 1 and 2, 3 and 4, ... coincide."""
     if not (0 <= s <= model.n - 2):
         raise GeometryError("need 0 <= s <= n-2")
     rn = model.r * model.n

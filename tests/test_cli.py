@@ -127,6 +127,7 @@ def test_malformed_example_bundle_exits_2(bundle_path, tmp_path, capsys,
 @pytest.mark.parametrize("edit", [
     {"manifest": None}, {"B": None}, {"manifest": {"q1": 2}},
     {"B": [0, 1.5]},
+    {"manifest": {"q1": 1, "n": 2, "r": 2, "xprime_index": 1}},
 ])
 def test_malformed_mps_bundle_exits_2(tmp_path, capsys, edit):
     data = {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": 2,
@@ -266,6 +267,21 @@ def test_search_and_construct_mps_flow(tmp_path):
     rc = run(["verify", "--bundle", str(mps_out),
               "--checks", "blocking,minimal,trivial"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "example36", "--q", "-3"],
+    ["construct", "example36", "--q", "0"],
+    ["construct", "example36", "--q", "1"],
+    ["construct", "example36", "--q", "6"],
+    ["construct", "mps", "--q1", "0", "--n", "2", "--r", "2", "--s", "0",
+     "--bbar", "unused.txt"],
+    ["search", "fblocking", "--q1", "1", "--n", "2", "--r", "2", "--s", "0",
+     "--max-size", "3"],
+])
+def test_non_prime_power_order_exits_2(argv, capsys):
+    assert run(argv) == 2
+    assert "not a prime power" in capsys.readouterr().err
 
 
 def test_construct_mps_wrong_space_bbar(tmp_path):

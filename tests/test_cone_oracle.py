@@ -40,7 +40,19 @@ def test_no_baer_subplane_through_x_is_an_omega_cone(model):
     assert not cones.intersection(baer)
 
 
-@pytest.mark.parametrize("seed", range(4))
+# frame_make gives the same frame for some consecutive seeds (1 and 2, 3 and
+# 4, ...), so the cross-check takes seeds with pairwise distinct frames
+ORACLE_SEEDS = (0, 1, 3, 5)
+
+
+def test_oracle_seeds_give_distinct_frames(model):
+    frames = {(tuple(f.omega.point_ranks().tolist()),
+               tuple(f.gamma_prime.point_ranks().tolist()))
+              for f in (frame_make(model, 0, seed) for seed in ORACLE_SEEDS)}
+    assert len(frames) == len(ORACLE_SEEDS)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_search_outputs_match_oracle(model, seed):
     frame = frame_make(model, 0, seed)
     # max_size 9 = Theta plus all 8 affine points: the search is exhaustive

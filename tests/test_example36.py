@@ -3,6 +3,8 @@ formulas, spectra, tangency, and the cardinality excluder; and the spectrum
 theorems at q = 3."""
 
 import dataclasses
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -393,7 +395,6 @@ def test_bundle_roundtrip_and_tamper_detection(bundle, tmp_path):
     ex.save_bundle(bundle, path)
     again = ex.load_bundle(path, strict=True)
     assert again.B == bundle.B
-    import json
     data = json.loads(path.read_text())
     data["B"] = data["B"][:-1]
     path.write_text(json.dumps(data))
@@ -401,6 +402,31 @@ def test_bundle_roundtrip_and_tamper_detection(bundle, tmp_path):
         ex.load_bundle(path, strict=True)
     lenient = ex.load_bundle(path, strict=False)
     assert len(lenient.B) == len(bundle.B) - 1
+
+
+# sha256 of json.dumps(bundle_to_dict(example_build(q, seed))), pinned so
+# that a change to the field, model or construction code which moves a single
+# byte of a bundle fails here, across trees and not only within one run
+_GOLDEN_BUNDLES = {
+    (2, 0): "6e04401a81b362329684b7935bba2fcd737b2d6f128c1ef51008f2e9aeb4646d",
+    (2, 1): "92230ece5d1b797aa26739d0e8620033f85748550d5e7b4ac7abc60293434526",
+    (2, 2): "980732eec6cd97b74da9efe75f7e6211e38dbfd9bd8dc578786858c23e4fa6dd",
+    (2, 3): "cab1970603aafa0c2dcb480faadf95f88045f337b8157a3eccbb38b8223d2ead",
+    (2, 4): "be97dcfaab21aee9119af97b39d86f15d0ddd4e3195da85a0d9acadcb51cac4e",
+    (2, 5): "27381ed085ba57ef47a339848b803f0f33dd8b07c8d937ec491f266dc2f03b19",
+    (2, 6): "57cde64e92bf5ddd3716f26acfed85d06635f9f570dffac8a787d16fdcb0fb92",
+    (2, 7): "2d84a8a744e2a9abb1bb235e8adfbec174dc253ad7a5acf71caf5213438cc3b9",
+    (3, 0): "77bb87b865d5d8c1e029aa12836111c0472c020c104927bb75b79236c591d9cf",
+}
+
+
+def test_bundles_match_golden_hashes(bundles_q2):
+    built = {(2, seed): b for seed, b in enumerate(bundles_q2)}
+    built[3, 0] = ex.example_build(3, 0)
+    for key, bundle in built.items():
+        text = json.dumps(ex.bundle_to_dict(bundle))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            _GOLDEN_BUNDLES[key], key
 
 
 def test_excluder_values():

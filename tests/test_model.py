@@ -191,5 +191,6 @@ def test_sigma_and_frame_choices(big):
 
 
 def test_make_model_rejects_non_prime_power():
-    with pytest.raises(GeometryError):
-        make_model(6, 2, 2)
+    for q1 in (6, 12, 0, 1, -3):
+        with pytest.raises(GeometryError, match="not a prime power"):
+            make_model(q1, 2, 2)
