@@ -11,13 +11,12 @@ B = K(Omega, Bbar) cup {X} of Pi_r.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pg
-from .linalg import kernel_basis
+from .linalg import kernel_basis, matmul
 from .model import BCModel
 from .pg import GeometryError, PointSet, ProjSpace, Subspace, meet, span, span_in
 from .verify import triviality_check
@@ -129,19 +128,23 @@ def family_enumerate(frame: MPSFrame):
 
 
 def cone(vertex: Subspace, base: PointSet) -> PointSet:
-    """Union of the spans <vertex, b> over base points b, vertex included."""
+    """Union of the spans <vertex, b> over base points b, vertex included.
+
+    One exact batch: for omega over the q^(s+1) vectors of the vertex's row
+    space, <vertex, b> minus the vertex is the classes of b + omega if b is
+    off the vertex, and b + omega is zero or in the vertex if b is in it."""
     if len(base) == 0:
         raise GeometryError("empty cone base")
     space = vertex.space
     if base.space != space:
         raise GeometryError("vertex and base live in different spaces")
-    chunks = [vertex.point_ranks()] if vertex.dim >= 0 else []
-    for b in base.vecs():
-        if vertex.dim >= 0 and vertex.contains(b):
-            continue
-        line = span([vertex, b]) if vertex.dim >= 0 else span_in(space, [b])
-        chunks.append(line.point_ranks())
-    return PointSet(space, np.concatenate(chunks))
+    f, k = space.field, vertex.mat.shape[0]
+    grid = np.indices((space.q,) * k).reshape(k, space.q ** k).T
+    omega = matmul(grid, vertex.mat, f)
+    pts = f.add_table[base.vecs()[:, None], omega].reshape(-1, space.m + 1)
+    pts = pts[pts.any(axis=1)]
+    ranks = pg.rank_batch(space, pg.normalize_batch(space, pts))
+    return PointSet(space, np.concatenate([vertex.point_ranks(), ranks]))
 
 
 def mps_size_predict(bbar_size: int, q1: int, n: int, s: int) -> int:
@@ -161,9 +164,8 @@ def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
     in_sigma = vecs[:, -1] == 0
     if not np.array_equal(np.sort(bbar.ranks[in_sigma]), np.sort(theta_ranks)):
         raise GeometryError("Bbar cap Sigma != Theta")
-    for v in vecs:
-        if not frame.gamma_prime.contains(v):
-            raise GeometryError("Bbar is not contained in Gamma'")
+    if not _inside(frame.gamma_prime, vecs).all():
+        raise GeometryError("Bbar is not contained in Gamma'")
     k = cone(frame.omega, bbar)
     kvecs = k.vecs()
     affine = kvecs[kvecs[:, -1] != 0]
@@ -177,26 +179,37 @@ def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
     return out
 
 
+def _inside(sub: Subspace, vecs: np.ndarray) -> np.ndarray:
+    """Mask of the rows of vecs on which every dual form of sub vanishes."""
+    return ~matmul(vecs, sub.dual_forms().T, sub.space.field).any(axis=1)
+
+
 def bbar_without_x(frame: MPSFrame, bbar: PointSet) -> PointSet:
-    keep = [r for r, v in zip(bbar.ranks, bbar.vecs())
-            if not frame.model.X.contains(v)]
-    return PointSet(bbar.space, np.array(keep, dtype=np.int64))
+    return PointSet(bbar.space, bbar.ranks[~_inside(frame.model.X, bbar.vecs())])
+
+
+def _family_masks(frame: MPSFrame, vecs: np.ndarray) -> tuple[list[int], list[int]]:
+    """The family's member ranks, and per row of vecs a Python-int mask (no
+    64-bit cap) whose bit f is set iff the f-th member contains the point."""
+    ranks = []
+    masks = [0] * len(vecs)
+    for f, (rank, I) in enumerate(family_enumerate(frame)):
+        ranks.append(rank)
+        for i, v in enumerate(vecs):
+            if I.contains(v):
+                masks[i] |= 1 << f
+    return ranks, masks
 
 
 def f_blocking_check(bbar: PointSet, frame: MPSFrame,
                      lemma2_sample: int = 0) -> dict:
     """Per-family-member intersection counts of Bbar minus X; optionally
     cross-checks |B cap S| = |(Bbar \\ X) cap I| on a sample of hyperplanes."""
-    core = bbar_without_x(frame, bbar)
-    core_vecs = core.vecs()
-    counts = {}
-    violations = []
-    for rank, I in family_enumerate(frame):
-        c = sum(1 for v in core_vecs if I.contains(v))
-        counts[rank] = c
-        if c == 0:
-            violations.append(rank)
-    result = {"covered": sum(1 for c in counts.values() if c > 0),
+    ranks, masks = _family_masks(frame, bbar_without_x(frame, bbar).vecs())
+    counts = {rank: sum(m >> f & 1 for m in masks)
+              for f, rank in enumerate(ranks)}
+    violations = [rank for rank, c in counts.items() if c == 0]
+    result = {"covered": len(counts) - len(violations),
               "family_size": len(counts),
               "violations": violations,
               "counts": counts}
@@ -240,37 +253,54 @@ def side_condition_violations(bbar: PointSet, frame: MPSFrame) -> list[int]:
 
 def f_search_minimal(frame: MPSFrame, max_size: int) -> list[dict]:
     """All inclusion-minimal F-blocking sets Bbar = Theta cup A with
-    |Bbar| <= max_size, by exhaustive subset enumeration of the affine part
-    of Gamma'.  Tiny instances only."""
+    |Bbar| <= max_size, A a set of affine points of Gamma', by exhaustive
+    search over their family bitmasks.  Ordered by size, then by A's indices
+    into the sorted affine ranks (combinations order).  Tiny instances only."""
     gp = frame.gamma_prime
     if gp.n_points() > 40:
         raise GeometryError("Gamma' too large for exhaustive search")
     theta_ranks = frame.theta.point_ranks()
     sigma_part = meet(gp, frame.model.sigma).point_ranks()
     affine = np.setdiff1d(gp.point_ranks(), sigma_part)
-    family = [I for _, I in family_enumerate(frame)]
-    aff_vecs = pg.unrank_batch(gp.space, affine)
-    member = np.array([[I.contains(v) for v in aff_vecs] for I in family])
+    members, masks = _family_masks(frame, pg.unrank_batch(gp.space, affine))
+    covers = _minimal_covers(masks, (1 << len(members)) - 1,
+                             max_size - len(theta_ranks))
+    bbars = [PointSet(gp.space, np.concatenate([theta_ranks, affine[list(c)]]))
+             for c in covers]
+    return [{"bbar": b, "trivial": _contains_complementary_subspace(b, frame)}
+            for b in bbars]
 
-    def blocking(idx: tuple[int, ...]) -> bool:
-        return bool(np.all(member[:, list(idx)].any(axis=1))) if idx else \
-            bool(member.shape[0] == 0)
 
+def _minimal_covers(masks: list[int], full: int, max_k: int) -> list[tuple]:
+    """Every inclusion-minimal index set of size <= max_k whose masks OR to
+    `full`, sorted by (size, indices).  Depth first over increasing index
+    sets with the running OR; a branch stops once the OR is full (a superset
+    of a cover is not minimal), once even the OR of every remaining mask
+    cannot fill it, or at max_k.  A cover is minimal iff each of its points
+    has a private member, met by no other point of the cover."""
+    rest = masks + [0]  # rest[i]: OR of masks[i:]
+    for i in range(len(masks) - 1, -1, -1):
+        rest[i] |= rest[i + 1]
     out = []
-    max_aff = max_size - len(theta_ranks)
-    for size in range(0, max_aff + 1):
-        for idx in itertools.combinations(range(len(affine)), size):
-            if not blocking(idx):
-                continue
-            if any(blocking(tuple(j for j in idx if j != i)) for i in idx):
-                continue  # not minimal
-            bbar = PointSet(gp.space,
-                            np.concatenate([theta_ranks, affine[list(idx)]]))
-            out.append({
-                "bbar": bbar,
-                "trivial": _contains_complementary_subspace(bbar, frame),
-            })
-    return out
+
+    def walk(start: int, acc: int, twice: int, chosen: list[int]) -> None:
+        # acc, twice: the members met by >= 1 and by >= 2 chosen points
+        if acc == full:
+            if all(masks[i] & ~twice for i in chosen):
+                out.append(tuple(chosen))
+            return
+        if len(chosen) == max_k:
+            return
+        for i in range(start, len(masks)):
+            if acc | rest[i] != full:
+                break  # rest shrinks as i grows
+            chosen.append(i)
+            walk(i + 1, acc | masks[i], twice | acc & masks[i], chosen)
+            chosen.pop()
+
+    if max_k >= 0:
+        walk(0, 0, 0, [])
+    return sorted(out, key=lambda c: (len(c), c))
 
 
 def _contains_complementary_subspace(bbar: PointSet, frame: MPSFrame) -> bool:

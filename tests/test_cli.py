@@ -1,5 +1,6 @@
 """Front-end: exit codes, report schemas, end-to-end flows."""
 
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -267,6 +268,28 @@ def test_search_and_construct_mps_flow(tmp_path):
     rc = run(["verify", "--bundle", str(mps_out),
               "--checks", "blocking,minimal,trivial"])
     assert rc == 0
+
+
+# sha256 of the standard output of `blockcone search fblocking` (seed 0,
+# X' index 1), pinned so that a change to the search which moves its order,
+# its sets or their triviality flags fails here across trees
+_GOLDEN_SEARCHES = {
+    ("2", "2", "2", "0", "9"):
+        "d51b583020ad034fb2ecdf6953b70a30af5b0ff662f1ca2b7c54cccdab8fcd9a",
+    ("3", "2", "2", "0", "6"):
+        "abe09ebe97a66e296a39956ec800e5eddd4f9a21a1c51df57e71eb927ae09033",
+}
+
+
+@pytest.mark.parametrize("config", sorted(_GOLDEN_SEARCHES))
+def test_search_output_matches_golden_hash(config, capsys):
+    q1, n, r, s, max_size = config
+    capsys.readouterr()
+    assert run(["search", "fblocking", "--q1", q1, "--n", n, "--r", r,
+                "--s", s, "--max-size", max_size]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _GOLDEN_SEARCHES[config]
 
 
 @pytest.mark.parametrize("argv", [
