@@ -402,19 +402,24 @@ def example_build(q: int, seed: int = 0) -> Bundle:
 _HIST_CHUNK = 1 << 22
 
 
+def _image_vecs(model: BCModel, aff: np.ndarray) -> np.ndarray:
+    """The Pi_r-points u + a.p, a in GF(q1), of the affine points u of aff:
+    q1 consecutive rows per u."""
+    f = model.tower.sub
+    ap = f.mul_table[np.arange(f.q)[:, None], model.vertex_p[None, :]]
+    pts = f.add_table[aff[:, None, :], ap[None, :, :]]
+    return model.bc_to_pg_batch(pts.reshape(-1, aff.shape[1]))
+
+
 def cone_image(model: BCModel, ps: PointSet) -> PointSet:
     """Pi_r-image of the affine part of the cone K(p, ps): the q1 points
     u + a.p, a in GF(q1), of each affine point u of ps.  Points of ps inside
     Sigma are dropped, since their cone lines stay inside Sigma.  Two affine
     points on one line through p would share their image, so that is
     refused."""
-    f = model.tower.sub
     vecs = ps.vecs()
-    aff = vecs[vecs[:, -1] != 0]
-    ap = f.mul_table[np.arange(f.q)[:, None], model.vertex_p[None, :]]
-    pts = f.add_table[aff[:, None, :], ap[None, :, :]].reshape(-1, vecs.shape[1])
-    image = PointSet(model.pi_space, pg.rank_batch(model.pi_space,
-                                                   model.bc_to_pg_batch(pts)))
+    pts = _image_vecs(model, vecs[vecs[:, -1] != 0])
+    image = PointSet(model.pi_space, pg.rank_batch(model.pi_space, pts))
     if len(image) != len(pts):
         raise GeometryError("two points of the set lie on one line through p")
     return image
@@ -629,40 +634,34 @@ def tangency_scan(bundle: Bundle) -> dict:
 
     By Lemma 2 the members meeting the union exactly in u are the hyperplanes
     missing X through one of u's q1 cone-image points whose count over the
-    union's image is 1: a minimality witness of the image point with the
-    X'-side condition added.  No cell through X has count 1: the q1 image
-    points of u lie on one line of Pi_3 through X, so a hyperplane through X
-    and one of them holds all q1."""
+    union's image is 1: a least tangent of an image point
+    (`verify.least_tangents`), on the X'-subfamily side of u's part.  No cell
+    through X has count 1: the q1 image points of u lie on one line of Pi_3
+    through X, so a hyperplane through X and one of them holds all q1."""
     fr = bundle.frame
     model = fr.model
     union = fr.bbar.union(fr.btilde)
     counts = verify.blocking_check(cone_image(model, union)).counts
     _, xp_members = family_ranks(model)
-    f = model.tower.sub
-    ap = f.mul_table[np.arange(f.q)[:, None], model.vertex_p[None, :]]
-    witnesses = []
-    missing = []
-    for u_rank, u in zip(union.ranks, union.vecs()):
-        if u[-1] == 0:
-            continue
-        u_rank = int(u_rank)
-        in_bbar = u_rank in fr.bbar
-        image = model.bc_to_pg_batch(f.add_table[u[None, :], ap])
-        hyps = np.concatenate([pg.incident_dual_ranks(model.pi_space, w)
-                               for w in image])
-        cand = hyps[counts[hyps] == 1]
-        cand = cand[verify.in_sorted(xp_members, cand) == in_bbar]
-        if not cand.size:
-            missing.append(u_rank)
-            continue
-        best = int(cand.min())
-        witnesses.append({
-            "point": u_rank,
-            "witness": best,
-            "in_xprime_family": bool(verify.in_sorted(xp_members, [best])[0]),
-            "part": "bbar" if in_bbar else "btilde"})
-    if missing:
-        raise GeometryError(f"points without tangent witness: {missing}")
+    vecs = union.vecs()
+    aff = vecs[:, -1] != 0
+    points = union.ranks[aff]
+    in_bbar = verify.in_sorted(fr.bbar.ranks, points)
+    q1 = model.q1
+    best = verify.least_tangents(
+        model.pi_space, _image_vecs(model, vecs[aff]), counts, "tangency",
+        side=(xp_members, np.repeat(in_bbar, q1)))
+    none = model.pi_space.n_points  # above every rank
+    best = np.where(best < 0, none, best).reshape(-1, q1).min(axis=1)
+    missing = points[best == none]
+    if missing.size:
+        raise GeometryError(
+            f"points without tangent witness: {missing.tolist()}")
+    in_family = verify.in_sorted(xp_members, best)
+    witnesses = [{"point": int(u), "witness": int(w),
+                  "in_xprime_family": bool(fam),
+                  "part": "bbar" if part else "btilde"}
+                 for u, w, fam, part in zip(points, best, in_family, in_bbar)]
     return {"witnesses": witnesses, "count": len(witnesses)}
 
 

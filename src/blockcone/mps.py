@@ -12,6 +12,7 @@ B = K(Omega, Bbar) cup {X} of Pi_r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,29 @@ class MPSFrame:
             raise GeometryError("Gamma' cap Sigma != Gamma")
         if meet(self.gamma, m.X) != self.theta or self.theta.dim != m.n - s - 2:
             raise GeometryError("Theta must be Gamma cap X of dimension n-s-2")
+
+    # constants of `mps_build`, computed once per frame
+
+    @cached_property
+    def theta_ranks(self) -> np.ndarray:
+        return self.theta.point_ranks()
+
+    @cached_property
+    def gamma_prime_forms(self) -> np.ndarray:
+        return self.gamma_prime.dual_forms()
+
+    @cached_property
+    def omega_rows(self) -> np.ndarray:
+        return _row_space(self.omega)
+
+    @cached_property
+    def omega_ranks(self) -> np.ndarray:
+        return self.omega.point_ranks()
+
+    @cached_property
+    def x_rank(self) -> int:
+        model = self.model
+        return pg.rank_of(model.pi_space, model.spread_to_pg_vec(model.x_index))
 
 
 def frame_make(model: BCModel, s: int, seed: int = 0) -> MPSFrame:
@@ -127,24 +151,35 @@ def family_enumerate(frame: MPSFrame):
         yield int(rank), I
 
 
+def _row_space(vertex: Subspace) -> np.ndarray:
+    """All q^(s+1) vectors of the vertex's row space, zero included."""
+    space = vertex.space
+    k = vertex.mat.shape[0]
+    grid = np.indices((space.q,) * k).reshape(k, space.q ** k).T
+    return matmul(grid, vertex.mat, space.field)
+
+
 def cone(vertex: Subspace, base: PointSet) -> PointSet:
     """Union of the spans <vertex, b> over base points b, vertex included.
 
     One exact batch: for omega over the q^(s+1) vectors of the vertex's row
     space, <vertex, b> minus the vertex is the classes of b + omega if b is
     off the vertex, and b + omega is zero or in the vertex if b is in it."""
+    return _cone(vertex.space, _row_space(vertex), vertex.point_ranks(), base)
+
+
+def _cone(space: ProjSpace, omega: np.ndarray, vertex_ranks: np.ndarray,
+          base: PointSet) -> PointSet:
+    """`cone` from the vertex's row space and point ranks."""
     if len(base) == 0:
         raise GeometryError("empty cone base")
-    space = vertex.space
     if base.space != space:
         raise GeometryError("vertex and base live in different spaces")
-    f, k = space.field, vertex.mat.shape[0]
-    grid = np.indices((space.q,) * k).reshape(k, space.q ** k).T
-    omega = matmul(grid, vertex.mat, f)
+    f = space.field
     pts = f.add_table[base.vecs()[:, None], omega].reshape(-1, space.m + 1)
     pts = pts[pts.any(axis=1)]
     ranks = pg.rank_batch(space, pg.normalize_batch(space, pts))
-    return PointSet(space, np.concatenate([vertex.point_ranks(), ranks]))
+    return PointSet(space, np.concatenate([vertex_ranks, ranks]))
 
 
 def mps_size_predict(bbar_size: int, q1: int, n: int, s: int) -> int:
@@ -159,19 +194,17 @@ def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
     model = frame.model
     if bbar.space != model.sigma_prime:
         raise GeometryError("Bbar must live in Sigma'")
-    theta_ranks = frame.theta.point_ranks()
     vecs = bbar.vecs()
     in_sigma = vecs[:, -1] == 0
-    if not np.array_equal(np.sort(bbar.ranks[in_sigma]), np.sort(theta_ranks)):
+    if not np.array_equal(np.sort(bbar.ranks[in_sigma]), frame.theta_ranks):
         raise GeometryError("Bbar cap Sigma != Theta")
-    if not _inside(frame.gamma_prime, vecs).all():
+    if not _inside(frame.gamma_prime_forms, vecs, bbar.space.field).all():
         raise GeometryError("Bbar is not contained in Gamma'")
-    k = cone(frame.omega, bbar)
+    k = _cone(bbar.space, frame.omega_rows, frame.omega_ranks, bbar)
     kvecs = k.vecs()
     affine = kvecs[kvecs[:, -1] != 0]
     pi_ranks = pg.rank_batch(model.pi_space, model.bc_to_pg_batch(affine))
-    x_rank = pg.rank_of(model.pi_space, model.spread_to_pg_vec(model.x_index))
-    out = PointSet(model.pi_space, np.concatenate([pi_ranks, [x_rank]]))
+    out = PointSet(model.pi_space, np.concatenate([pi_ranks, [frame.x_rank]]))
     predicted = mps_size_predict(len(bbar), model.q1, model.n, frame.s)
     if len(out) != predicted:
         raise GeometryError(
@@ -179,13 +212,15 @@ def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
     return out
 
 
-def _inside(sub: Subspace, vecs: np.ndarray) -> np.ndarray:
-    """Mask of the rows of vecs on which every dual form of sub vanishes."""
-    return ~matmul(vecs, sub.dual_forms().T, sub.space.field).any(axis=1)
+def _inside(forms: np.ndarray, vecs: np.ndarray, field) -> np.ndarray:
+    """Mask of the rows of vecs on which every form vanishes."""
+    return ~matmul(vecs, forms.T, field).any(axis=1)
 
 
 def bbar_without_x(frame: MPSFrame, bbar: PointSet) -> PointSet:
-    return PointSet(bbar.space, bbar.ranks[~_inside(frame.model.X, bbar.vecs())])
+    X = frame.model.X
+    off_x = ~_inside(X.dual_forms(), bbar.vecs(), X.space.field)
+    return PointSet(bbar.space, bbar.ranks[off_x])
 
 
 def _family_masks(frame: MPSFrame, vecs: np.ndarray) -> tuple[list[int], list[int]]:
@@ -259,7 +294,7 @@ def f_search_minimal(frame: MPSFrame, max_size: int) -> list[dict]:
     gp = frame.gamma_prime
     if gp.n_points() > 40:
         raise GeometryError("Gamma' too large for exhaustive search")
-    theta_ranks = frame.theta.point_ranks()
+    theta_ranks = frame.theta_ranks
     sigma_part = meet(gp, frame.model.sigma).point_ranks()
     affine = np.setdiff1d(gp.point_ranks(), sigma_part)
     members, masks = _family_masks(frame, pg.unrank_batch(gp.space, affine))

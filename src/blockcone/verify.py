@@ -1,25 +1,50 @@
 """Exhaustive certification of blocking / minimality / triviality / planarity.
 
-The blocking scan accumulates dually: for each point of the set it bumps the
-counters of all hyperplanes through that point, so the work is
-|S| * (hyperplanes per point) counter updates instead of one incidence test
-per (hyperplane, point) pair.  Counters saturate at 255, which is safe:
-blocking needs `>= 1` and minimality only distinguishes 1 from `>= 2`.
+Blocking, minimality and the example's tangency witnesses are incidence
+counts over all hyperplanes, and all three run on one kernel, `_Tiles`.  It
+walks the hyperplane ranks of PG(m, q) in increasing order, tile by tile, and
+meets all points with a tile at once:
+
+- the low tile is the q + 1 ranks of pivots m - 1 and m;
+- every other tile is the q^2 contiguous ranks of one pivot j <= m - 2 and
+  one prefix (a_{j+1}, ..., a_{m-2}): the duals
+  (0, ..., 0, 1, a_{j+1}, ..., a_{m-2}, a_{m-1}, a_m), in cell
+  a_{m-1}.q + a_m.
+
+A point v meets such a dual iff c + a_{m-1}.v_{m-1} + a_m.v_m = 0, with
+c = v_j + sum of prefix_i.v_i.  Scaled by -1/v_s, s the last nonzero
+coordinate of v, that reads d + a_{m-1}.g_{m-1} + a_m.g_m = 0, with g = -v/v_s
+and d = g_j + sum of prefix_i.g_i.  So a point meets a tile
+
+- if v_m != 0 (g_m = -1): in one cell per a_{m-1}, a_m = d + a_{m-1}.g_{m-1};
+- if v_m = 0 != v_{m-1}: in the whole row a_{m-1} = d;
+- if v_{m-1} = v_m = 0: in the whole tile when d = 0, and nowhere otherwise.
+
+A tile's counts are one add-table gather and one `np.bincount` over the cells
+of all points.  Counters saturate at 255, which is safe: blocking needs
+`>= 1` and minimality only distinguishes 1 from `>= 2`.  A point's least
+tangent (the least hyperplane through it of count 1) comes from the same walk
+in rank order, which a point leaves at its first tangent.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pg
-from .pg import PointSet, ProjSpace, Subspace, span_in
+from .pg import PointSet, ProjSpace, span_in
 
 _SAT = 255
 _UNCOVERED_SAMPLE = 32
 _SCAN_CHUNK = 1 << 20
+# cells gathered per batch of tiles; one tile's q^2 cells against up to four
+# times as many gathered cells are always allowed
+_BATCH = 1 << 16
+_HEARTBEAT_S = 5.0
 
 
 @dataclass
@@ -64,21 +89,196 @@ def _first_zeros(counts: np.ndarray, k: int) -> list[int]:
     return found
 
 
+def _first(cells: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Per row, the cell at the first True of `hit`, or -1."""
+    pos = hit.argmax(axis=1)
+    rows = np.arange(len(cells))
+    return np.where(hit[rows, pos], cells[rows, pos], -1)
+
+
+class _Tiles:
+    """The incidences of a list of points with the hyperplanes of their
+    space, tile by tile as the module docstring describes.  `what` names the
+    pass in the stderr heartbeat."""
+
+    def __init__(self, space: ProjSpace, vecs, what: str):
+        f, m, Q = space.field, space.m, space.q
+        self.space, self.what = space, what
+        v = np.asarray(vecs, dtype=np.int64).reshape(-1, m + 1)
+        last = m - np.argmax(v[:, ::-1] != 0, axis=1)
+        scale = f.neg_table[f.inv_table[v[np.arange(len(v)), last]]]
+        self.g = f.mul_table[scale[:, None], v]
+        kind = np.minimum(m - last, 2)
+        self.diag, self.row, self.whole = (np.flatnonzero(kind == k)
+                                           for k in range(3))
+        # the other points meet the low tile in one cell: rank 1 + g_{m-1}
+        # (pivot m - 1) if v_m != 0, else rank 0 (pivot m)
+        self.single = np.flatnonzero(kind < 2)
+        self.low = np.where(kind == 0, 1 + self.g[:, m - 1], 0)[self.single]
+        # per a_{m-1} = a and diagonal point, the gather index a.g_{m-1};
+        # cells are laid out (tile, a, point), so that a bincount writes one
+        # row of a tile at a time.  Cells are int64: the gather then runs in
+        # place and the bincount casts nothing.
+        self.step = f.mul_table[np.arange(Q)[:, None], self.g[self.diag, m - 1]]
+        self.add = f.add_table.ravel().astype(np.int64)
+        cap = max(_BATCH, 4 * Q * Q)
+        self.chunk = max(1, cap // Q)  # diagonal points per gather
+        self.tiles = max(1, cap // (Q * max(min(len(v), self.chunk), Q)))
+
+    def _batches(self):
+        """(first rank, pivot j, first tile, tiles) per batch of the tiles
+        of the pivots j <= m - 2, in rank order, with a heartbeat on stderr
+        every few seconds."""
+        m, Q = self.space.m, self.space.q
+        total = (Q ** (m - 1) - 1) // (Q - 1)
+        start = beat = time.perf_counter()
+        done = 0
+        for j in range(m - 2, -1, -1):
+            n = Q ** (m - 2 - j)
+            for t0 in range(0, n, self.tiles):
+                k = min(self.tiles, n - t0)
+                yield self.space._thresh(j) + t0 * Q * Q, j, t0, k
+                done += k
+                now = time.perf_counter()
+                if now - beat >= _HEARTBEAT_S:
+                    beat = now
+                    rate = done / (now - start)
+                    sys.stderr.write(
+                        f"{self.what} over {self.space}: {done}/{total} "
+                        f"tiles, {rate * Q * Q:.3g} cells/s, "
+                        f"ETA {(total - done) / rate:.0f} s\n")
+
+    def _offsets(self, idx: np.ndarray, j: int, t0: int, k: int) -> np.ndarray:
+        """(tiles, points) d = g_j + sum of prefix_i.g_i, for the tiles
+        t0 .. t0 + k - 1 of pivot j and the points idx."""
+        f, m, Q = self.space.field, self.space.m, self.space.q
+        g = self.g[idx]
+        d = np.broadcast_to(g[:, j], (k, len(idx)))
+        t = np.arange(t0, t0 + k)
+        for i in range(j + 1, m - 1):
+            prefix = t // Q ** (m - 2 - i) % Q
+            d = f.add_table[d, f.mul_table[prefix[:, None], g[:, i]]]
+        return d
+
+    def _diag_cells(self, step: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """(tiles, q, points) cells of diagonal points with gather indices
+        `step` (q, points) and offsets d (tiles, points): in row a of a
+        tile, a_m = d + a.g_{m-1}."""
+        Q = self.space.q
+        cells = np.add((d * Q)[:, None, :], step, dtype=np.int64)
+        # in place: each index is read before its own slot is written, and
+        # every index is in range by construction
+        np.take(self.add, cells, out=cells, mode="clip")
+        cells += (np.arange(len(d))[:, None, None] * (Q * Q)
+                  + np.arange(Q)[:, None] * Q)
+        return cells
+
+    def _diag_counts(self, a: int, j: int, t0: int, k: int) -> np.ndarray:
+        """Counts over the k tiles from t0 of pivot j of the diagonal points
+        a .. a + chunk - 1."""
+        Q = self.space.q
+        b = a + self.chunk
+        d = self._offsets(self.diag[a:b], j, t0, k)
+        cells = self._diag_cells(self.step[:, a:b], d)
+        return np.bincount(cells.ravel(), minlength=k * Q * Q)
+
+    def counts(self):
+        """(first rank, int64 counts) per tile batch, the low tile first."""
+        Q = self.space.q
+        yield 0, np.bincount(self.low, minlength=Q + 1) + self.whole.size
+        for lo, j, t0, k in self._batches():
+            cnt = self._diag_counts(0, j, t0, k)
+            for a in range(self.chunk, self.diag.size, self.chunk):
+                cnt += self._diag_counts(a, j, t0, k)
+            if self.row.size:
+                d = self._offsets(self.row, j, t0, k)
+                rows = np.arange(k)[:, None] * Q + d
+                cnt.reshape(k * Q, Q)[:] += np.bincount(
+                    rows.ravel(), minlength=k * Q)[:, None]
+            if self.whole.size:
+                d = self._offsets(self.whole, j, t0, k)
+                cnt.reshape(k, Q * Q)[:] += np.count_nonzero(
+                    d == 0, axis=1)[:, None]
+            yield lo, cnt
+
+    def tangents(self, counts: np.ndarray, side=None) -> np.ndarray:
+        """Per point, the least hyperplane rank through it whose count is 1,
+        or -1.  With side = (sorted ranks R, bool per point), a point marked
+        True takes only hyperplanes in R, the others only those outside R."""
+        Q = self.space.q
+        P = len(self.g)
+        cls = np.zeros(P, dtype=np.int64) if side is None else \
+            np.asarray(side[1], dtype=np.int64)
+
+        def accept(lo: int, hi: int) -> np.ndarray:
+            # (classes, hi - lo): the cells a point of each class accepts
+            one = counts[lo:hi] == 1
+            if side is None:
+                return one[None]
+            ranks = side[0]
+            inside = np.zeros(hi - lo, dtype=bool)
+            inside[ranks[np.searchsorted(ranks, lo):
+                         np.searchsorted(ranks, hi)] - lo] = True
+            return np.stack([one & ~inside, one & inside])
+
+        best = np.full(P, -1, dtype=np.int64)
+        ok = accept(0, Q + 1)
+        best[self.single] = np.where(ok[cls[self.single], self.low],
+                                     self.low, -1)
+        best[self.whole] = _first(
+            np.broadcast_to(np.arange(Q + 1), (self.whole.size, Q + 1)),
+            ok[cls[self.whole]])
+        diag_pos = np.zeros(P, dtype=np.int64)
+        diag_pos[self.diag] = np.arange(self.diag.size)
+        for lo, j, t0, k in self._batches():
+            open_ = best < 0
+            if not open_.any():
+                break
+            ok = accept(lo, lo + k * Q * Q)
+            # diagonal and row points: their cells, per point in rank order
+            idx = self.diag[open_[self.diag]]
+            cells = self._diag_cells(self.step[:, diag_pos[idx]],
+                                     self._offsets(idx, j, t0, k))
+            cells = cells.transpose(2, 0, 1).reshape(idx.size, k * Q)
+            best[idx] = _first(cells, ok[cls[idx, None], cells])
+            idx = self.row[open_[self.row]]
+            starts = np.arange(k)[:, None] * (Q * Q) + \
+                self._offsets(idx, j, t0, k) * Q
+            cells = (starts.T[:, :, None] + np.arange(Q)).reshape(idx.size,
+                                                                  k * Q)
+            best[idx] = _first(cells, ok[cls[idx, None], cells])
+            # whole points: the first accepted cell of each tile with d = 0
+            idx = self.whole[open_[self.whole]]
+            if idx.size:
+                per_tile = ok.reshape(len(ok), k, Q * Q)
+                cells = np.arange(k) * (Q * Q) + \
+                    per_tile.argmax(axis=2)[cls[idx]]
+                hit = per_tile.any(axis=2)[cls[idx]] & (
+                    self._offsets(idx, j, t0, k).T == 0)
+                best[idx] = _first(cells, hit)
+            best[open_ & (best >= 0)] += lo
+        return best
+
+
+def least_tangents(space: ProjSpace, vecs, counts: np.ndarray, what: str,
+                   side=None) -> np.ndarray:
+    """Per point of vecs, the least hyperplane rank through it whose counter
+    in `counts` is 1, or -1; see `_Tiles.tangents` for `side`."""
+    return _Tiles(space, vecs, what).tangents(counts, side)
+
+
 def blocking_check(ps: PointSet) -> CoverageResult:
     """Coverage counter per hyperplane rank; blocking iff every counter >= 1.
 
-    Saturating increments are scattered straight into the counters: in any
-    order they leave min(total, 255) in each cell.  The counter array (one
-    byte per hyperplane) is checked against the memory budget before it is
+    The counts of each tile batch are saturated at 255 and written into one
+    uint8 counter, which is checked against the memory budget before it is
     allocated."""
     t0 = time.perf_counter()
     space = ps.space
     pg.check_budget(space.n_points, f"a hyperplane counter over {space}")
     counts = np.zeros(space.n_points, dtype=np.uint8)
-    for v in ps.vecs():
-        hyps = pg.incident_dual_ranks(space, v)
-        c = counts[hyps]
-        counts[hyps] = c + (c < _SAT)
+    for lo, cnt in _Tiles(space, ps.vecs(), "blocking").counts():
+        np.minimum(cnt, _SAT, out=counts[lo:lo + cnt.size], casting="unsafe")
     uncovered_total = counts.size - int(np.count_nonzero(counts))
     return CoverageResult(
         space=space,
@@ -94,35 +294,30 @@ def blocking_check(ps: PointSet) -> CoverageResult:
 
 def minimality_check(ps: PointSet, coverage: CoverageResult) -> MinimalityResult:
     """A point is essential iff some hyperplane through it has counter exactly
-    1 (that hyperplane is then a tangent witness)."""
+    1; the least such hyperplane is its tangent witness."""
     if coverage.checksum != _checksum(ps):
         raise ValueError("coverage array does not belong to this point set")
     t0 = time.perf_counter()
-    counts = coverage.counts
-    essential, inessential = [], []
-    for rank, v in zip(ps.ranks, ps.vecs()):
-        hyps = pg.incident_dual_ranks(ps.space, v)
-        tangent = hyps[counts[hyps] == 1]
-        if tangent.size:
-            essential.append((int(rank), int(tangent.min())))
-        else:
-            inessential.append(int(rank))
+    best = least_tangents(ps.space, ps.vecs(), coverage.counts, "minimality")
+    essential = [(int(r), int(w)) for r, w in zip(ps.ranks, best) if w >= 0]
+    inessential = [int(r) for r, w in zip(ps.ranks, best) if w < 0]
     return MinimalityResult(essential, inessential,
                             (time.perf_counter() - t0) * 1e3)
 
 
 def naive_coverage(ps: PointSet) -> np.ndarray:
-    """Independent double-loop oracle: for each hyperplane, count incident set
-    points.  Only for spaces small enough to enumerate densely."""
+    """Independent oracle: for each hyperplane, the number of set points on
+    it, by a dot product over (hyperplanes x points) in chunks of points.
+    Only for spaces small enough to enumerate densely."""
     space = ps.space
     if space.n_points > 10**4:
         raise ValueError("naive oracle restricted to <= 10^4 hyperplanes")
-    duals = pg.unrank_batch(space, np.arange(space.n_points))
+    duals = pg.unrank_batch(space, np.arange(space.n_points))[:, None, :]
     vecs = ps.vecs()
     counts = np.zeros(space.n_points, dtype=np.int64)
-    for v in vecs:
-        prod = pg.dot(space, duals, np.broadcast_to(v, duals.shape))
-        counts += prod == 0
+    step = max(1, _SCAN_CHUNK // space.n_points)
+    for lo in range(0, len(vecs), step):
+        counts += (pg.dot(space, duals, vecs[None, lo:lo + step]) == 0).sum(1)
     return counts
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from blockcone import cli, example36, pg
+from blockcone import cli, example36, verify
 from blockcone.gf import cached_field
 from blockcone.pg import PointSet, ProjSpace, save_point_set
 
@@ -198,10 +198,10 @@ def test_infeasible_family_scan_exits_2(monkeypatch, capsys, tmp_path):
                         lambda path: (image, {}, stub))
     monkeypatch.setattr(example36, "cone_image", lambda model, ps: ps)
 
-    def refuse(space, vec):
+    def refuse(space, vecs, what):
         raise AssertionError("counting started")
 
-    monkeypatch.setattr(pg, "incident_dual_ranks", refuse)
+    monkeypatch.setattr(verify, "_Tiles", refuse)
     out = tmp_path / "spec.json"
     assert run(["spectrum", "--bundle", "q4.json", "--target", "bbar",
                 "--out", str(out)]) == 2
@@ -221,10 +221,10 @@ def test_infeasible_counter_exits_2(tmp_path, monkeypatch, capsys):
     ps = PointSet(ProjSpace(3, field), np.array([0]))
     monkeypatch.setattr(cli, "_load_any_bundle", lambda path: (ps, {}, None))
 
-    def refuse(space, vec):
+    def refuse(space, vecs, what):
         raise AssertionError("counting started")
 
-    monkeypatch.setattr(pg, "incident_dual_ranks", refuse)
+    monkeypatch.setattr(verify, "_Tiles", refuse)
     report = tmp_path / "rep.json"
     assert run(["verify", "--bundle", "q4.json", "--checks", "blocking",
                 "--report", str(report)]) == 2

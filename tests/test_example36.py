@@ -379,6 +379,42 @@ def test_tangency_witnesses(bundle):
         assert w["in_xprime_family"] == (w["part"] == "bbar")
 
 
+# sha256 of the q = 3 tangency witnesses (json, sorted keys), as the
+# point-major scan of each image point's dual ranks found them
+_GOLDEN_Q3_TANGENCY = \
+    "e667e8a9822ada48fdec249b134e4b5839d8e9903fb0185eaa06c8fdc67671b0"
+
+
+def test_q3_tangency_witnesses():
+    """All 298 = 4q^4 - 3q^2 + 1 tangency witnesses at q = 3: each misses X,
+    meets the union's cone image in exactly one image point of its own point,
+    and lies on the X'-side of its part; the list is the pinned one."""
+    q = 3
+    bundle = ex.example_build(q, 0)
+    fr = bundle.frame
+    model = fr.model
+    sp = model.pi_space
+    res = ex.tangency_scan(bundle)
+    ws = res["witnesses"]
+    assert res["count"] == len(ws) == 4 * q**4 - 3 * q**2 + 1
+    union = fr.bbar.union(fr.btilde)
+    image = ex.cone_image(model, union)
+    duals = pg.unrank_batch(sp, np.array([w["witness"] for w in ws]))
+    on = np.stack([pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0
+                   for v in image.vecs()], axis=1)
+    x = model.spread_to_pg_vec(model.x_index)
+    xp = model.spread_to_pg_vec(model.xprime_index)
+    for i, w in enumerate(ws):
+        own = ex.cone_image(model, PointSet(model.sigma_prime, [w["point"]]))
+        assert on[i].sum() == 1 and image.ranks[on[i]][0] in own
+        assert pg.dot(sp, duals[i], x) != 0
+        through_xp = bool(pg.dot(sp, duals[i], xp) == 0)
+        assert through_xp == w["in_xprime_family"] == (w["part"] == "bbar")
+        assert (w["point"] in fr.bbar) == (w["part"] == "bbar")
+    text = json.dumps(ws, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_Q3_TANGENCY
+
+
 def test_spectrum_scan_rejects_unknown_target(bundle):
     with pytest.raises(GeometryError):
         ex.spectrum_scan(bundle, "everything")

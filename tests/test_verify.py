@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blockcone import pg, verify
 from blockcone.gf import cached_field
@@ -198,3 +199,101 @@ def test_run_checks_report_schema():
     assert out["trivial"] is True  # a line is the trivial blocking set
     assert out["planar"]["span_dim"] == 1
     assert "timings_ms" in out
+
+
+def _least_tangents_naive(ps: PointSet, counts: np.ndarray) -> list[int]:
+    """Per point, the least hyperplane rank through it with count 1, or -1,
+    by a dense dot product over all hyperplanes."""
+    sp = ps.space
+    duals = pg.unrank_batch(sp, np.arange(sp.n_points))
+    out = []
+    for v in ps.vecs():
+        on = pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0
+        hits = np.flatnonzero(on & (counts == 1))
+        out.append(int(hits[0]) if hits.size else -1)
+    return out
+
+
+_SPACES = [(2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1), (3, 3, 1),
+           (3, 2, 2), (4, 2, 1), (4, 3, 1), (5, 2, 1)]
+
+
+@st.composite
+def _point_sets(draw):
+    """A space PG(m, q), m = 2..5, and a point set drawing on all points, on
+    those with v_m = 0 and on those with v_{m-1} = v_m = 0."""
+    m, p, k = draw(st.sampled_from(_SPACES))
+    sp = _space(m, p, k)
+    vecs = pg.unrank_batch(sp, np.arange(sp.n_points))
+    pools = [np.arange(sp.n_points), np.flatnonzero(vecs[:, m] == 0),
+             np.flatnonzero(~vecs[:, m - 1:].any(axis=1))]
+    ranks = []
+    for pool in pools:
+        idx = draw(st.lists(st.integers(0, pool.size - 1), max_size=12))
+        ranks.extend(pool[idx].tolist())
+    return PointSet(sp, np.array(ranks, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets())
+@example(PointSet(_space(3, 2, 1), np.zeros(0, dtype=np.int64)))
+def test_tile_kernel_matches_naive_oracle(ps):
+    cov = verify.blocking_check(ps)
+    naive = verify.naive_coverage(ps)
+    assert np.array_equal(cov.counts, np.minimum(naive, 255))
+    mres = verify.minimality_check(ps, cov)
+    expect = _least_tangents_naive(ps, naive)
+    assert mres.essential == [(int(r), w) for r, w in zip(ps.ranks, expect)
+                              if w >= 0]
+    assert mres.inessential == [int(r) for r, w in zip(ps.ranks, expect)
+                                if w < 0]
+
+
+@pytest.mark.parametrize("m,p,k,size", [(3, 3, 1, 80), (4, 2, 1, 50),
+                                        (2, 2, 3, 120)])
+def test_tile_batches_are_invisible(m, p, k, size, monkeypatch):
+    # with the smallest batch, tiles go one per batch and the points of a
+    # tile in several gathers; counts and witnesses do not change
+    sp = _space(m, p, k)
+    ps = PointSet(sp, np.random.default_rng(size).integers(
+        0, sp.n_points, size=size))
+    base = verify.blocking_check(ps)
+    wit = verify.minimality_check(ps, base)
+    monkeypatch.setattr(verify, "_BATCH", 1)
+    tiles = verify._Tiles(sp, ps.vecs(), "test")
+    assert tiles.tiles == 1 and tiles.chunk < len(tiles.diag)
+    cov = verify.blocking_check(ps)
+    assert np.array_equal(cov.counts, base.counts)
+    assert verify.minimality_check(ps, cov).essential == wit.essential
+
+
+def test_tiles_recount_pg3_729():
+    # PG(3, 729): 300 seeded points, with points that have v_3 = 0 and
+    # v_2 = v_3 = 0; the low tile, the pivot-1 tile and three seeded pivot-0
+    # tiles against the points' incident dual ranks
+    sp = _space(3, 3, 6)
+    Q = sp.q
+    rng = np.random.default_rng(11)
+    vecs = rng.integers(0, Q, size=(300, 4))
+    vecs[:40, 3] = 0
+    vecs[40:60, 2:] = 0
+    vecs[60, :] = [0, 0, 1, 0]
+    ps = PointSet.from_vecs(sp, vecs[vecs.any(axis=1)])
+    seeded = sorted(rng.choice(Q, size=3, replace=False).tolist())
+    want = {0: Q + 1, Q + 1: Q * Q}
+    want.update({sp._thresh(0) + a * Q * Q: Q * Q for a in seeded})
+    got = {}
+    for lo, cnt in verify._Tiles(sp, ps.vecs(), "test").counts():
+        for w, size in want.items():
+            if lo <= w < lo + cnt.size:
+                got[w] = cnt[w - lo:w - lo + size]
+        if len(got) == len(want):
+            break
+    expect = {lo: np.zeros(size, dtype=np.int64) for lo, size in want.items()}
+    for v in ps.vecs():
+        hyps = pg.incident_dual_ranks(sp, v)
+        for lo, size in want.items():
+            inside = hyps[(hyps >= lo) & (hyps < lo + size)]
+            expect[lo] += np.bincount(inside - lo, minlength=size)
+    for lo in want:
+        assert np.array_equal(got[lo], expect[lo]), lo
