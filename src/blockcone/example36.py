@@ -21,8 +21,8 @@ from . import pg, verify
 from .gf import cached_field, is_prime, subfield_embed
 from .linalg import kernel_basis, matmul, rref
 from .model import BCModel, make_model, prime_power
-from .mps import MPSFrame, cone, mps_build, mps_size_predict, \
-    pi_hyperplane_ranks_avoiding_x
+from .mps import MPSFrame, _row_space, cone, cone_image_vecs, mps_build, \
+    mps_size_predict, pi_hyperplane_ranks_avoiding_x
 from .pg import GeometryError, PointSet, ProjSpace, Subspace, meet, span, span_in
 
 
@@ -402,15 +402,6 @@ def example_build(q: int, seed: int = 0) -> Bundle:
 _HIST_CHUNK = 1 << 22
 
 
-def _image_vecs(model: BCModel, aff: np.ndarray) -> np.ndarray:
-    """The Pi_r-points u + a.p, a in GF(q1), of the affine points u of aff:
-    q1 consecutive rows per u."""
-    f = model.tower.sub
-    ap = f.mul_table[np.arange(f.q)[:, None], model.vertex_p[None, :]]
-    pts = f.add_table[aff[:, None, :], ap[None, :, :]]
-    return model.bc_to_pg_batch(pts.reshape(-1, aff.shape[1]))
-
-
 def cone_image(model: BCModel, ps: PointSet) -> PointSet:
     """Pi_r-image of the affine part of the cone K(p, ps): the q1 points
     u + a.p, a in GF(q1), of each affine point u of ps.  Points of ps inside
@@ -418,7 +409,8 @@ def cone_image(model: BCModel, ps: PointSet) -> PointSet:
     points on one line through p would share their image, so that is
     refused."""
     vecs = ps.vecs()
-    pts = _image_vecs(model, vecs[vecs[:, -1] != 0])
+    p_rows = _row_space(span_in(model.sigma_prime, [model.vertex_p]))
+    pts = cone_image_vecs(model, p_rows, vecs[vecs[:, -1] != 0])
     image = PointSet(model.pi_space, pg.rank_batch(model.pi_space, pts))
     if len(image) != len(pts):
         raise GeometryError("two points of the set lie on one line through p")
@@ -648,8 +640,10 @@ def tangency_scan(bundle: Bundle) -> dict:
     points = union.ranks[aff]
     in_bbar = verify.in_sorted(fr.bbar.ranks, points)
     q1 = model.q1
+    # Omega = {p}: the rows a.p, a = 0 .. q1 - 1, so q1 image points per u
     best = verify.least_tangents(
-        model.pi_space, _image_vecs(model, vecs[aff]), counts, "tangency",
+        model.pi_space, cone_image_vecs(model, fr.mps.omega_rows, vecs[aff]),
+        counts, "tangency",
         side=(xp_members, np.repeat(in_bbar, q1)))
     none = model.pi_space.n_points  # above every rank
     best = np.where(best < 0, none, best).reshape(-1, q1).min(axis=1)

@@ -206,17 +206,6 @@ class BCModel:
             raise GeometryError("line is contained in a spread element")
         return tuple(idx)
 
-    def is_pi_line(self, S: Subspace) -> bool:
-        """A line of Pi_r: an n-subspace of Sigma' meeting Sigma in a spread
-        element."""
-        if S.dim != self.n:
-            return False
-        inf = pg.meet(S, self.sigma)
-        if inf.dim != self.n - 1:
-            return False
-        pts = inf.point_vecs()
-        return len({self.spread_element_of(v) for v in pts}) == 1
-
     def manifest(self) -> dict:
         return {
             "q1": self.q1,

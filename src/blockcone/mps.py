@@ -7,6 +7,12 @@ Sigma / Gamma' poking out of it, the family F collects the traces
 Bbar inside Gamma' that meets every member of F and meets Sigma exactly in
 Theta = Gamma cap X lifts, via the cone with vertex Omega, to a blocking set
 B = K(Omega, Bbar) cup {X} of Pi_r.
+
+Family membership is Lemma 2: for H missing X, an affine point b of Gamma'
+lies in <blowup(H), Omega> cap Gamma' iff one of its cone points b + omega
+(omega over Omega's row space) maps into H.  `cone_image_vecs` is that map:
+`mps_build` ranks its image of Bbar, `_family_masks` is its incidence table
+with the member duals.  The members as subspaces are only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -63,10 +69,6 @@ class MPSFrame:
     @cached_property
     def omega_rows(self) -> np.ndarray:
         return _row_space(self.omega)
-
-    @cached_property
-    def omega_ranks(self) -> np.ndarray:
-        return self.omega.point_ranks()
 
     @cached_property
     def x_rank(self) -> int:
@@ -140,17 +142,6 @@ def pi_hyperplane_ranks_avoiding_x(model: BCModel) -> np.ndarray:
     return np.setdiff1d(np.arange(sp.n_points, dtype=np.int64), through)
 
 
-def family_enumerate(frame: MPSFrame):
-    """Yield (hyperplane rank, I) over all hyperplanes of Pi_r missing X,
-    where I = <blowup(H), Omega> cap Gamma'."""
-    model = frame.model
-    for rank in pi_hyperplane_ranks_avoiding_x(model):
-        a = pg.unrank(model.pi_space, int(rank))
-        blow = model.hyperplane_blowup(a)
-        I = meet(span([blow, frame.omega]), frame.gamma_prime)
-        yield int(rank), I
-
-
 def _row_space(vertex: Subspace) -> np.ndarray:
     """All q^(s+1) vectors of the vertex's row space, zero included."""
     space = vertex.space
@@ -165,21 +156,29 @@ def cone(vertex: Subspace, base: PointSet) -> PointSet:
     One exact batch: for omega over the q^(s+1) vectors of the vertex's row
     space, <vertex, b> minus the vertex is the classes of b + omega if b is
     off the vertex, and b + omega is zero or in the vertex if b is in it."""
-    return _cone(vertex.space, _row_space(vertex), vertex.point_ranks(), base)
-
-
-def _cone(space: ProjSpace, omega: np.ndarray, vertex_ranks: np.ndarray,
-          base: PointSet) -> PointSet:
-    """`cone` from the vertex's row space and point ranks."""
+    space = vertex.space
     if len(base) == 0:
         raise GeometryError("empty cone base")
     if base.space != space:
         raise GeometryError("vertex and base live in different spaces")
     f = space.field
-    pts = f.add_table[base.vecs()[:, None], omega].reshape(-1, space.m + 1)
+    pts = f.add_table[base.vecs()[:, None], _row_space(vertex)]
+    pts = pts.reshape(-1, space.m + 1)
     pts = pts[pts.any(axis=1)]
     ranks = pg.rank_batch(space, pg.normalize_batch(space, pts))
-    return PointSet(space, np.concatenate([vertex_ranks, ranks]))
+    return PointSet(space, np.concatenate([vertex.point_ranks(), ranks]))
+
+
+def cone_image_vecs(model: BCModel, omega_rows: np.ndarray,
+                    aff: np.ndarray) -> np.ndarray:
+    """The Pi_r-points of the cone over a vertex Omega inside Sigma on the
+    affine Sigma'-points u of aff: u + omega for omega over the rows of
+    omega_rows (Omega's row space, zero included), len(omega_rows)
+    consecutive rows per u.  <Omega, u> minus Omega is exactly these
+    classes, all affine."""
+    f = model.tower.sub
+    pts = f.add_table[aff[:, None, :], omega_rows[None, :, :]]
+    return model.bc_to_pg_batch(pts.reshape(-1, aff.shape[1]))
 
 
 def mps_size_predict(bbar_size: int, q1: int, n: int, s: int) -> int:
@@ -189,10 +188,11 @@ def mps_size_predict(bbar_size: int, q1: int, n: int, s: int) -> int:
     return (bbar_size - theta_size) * q1 ** (s + 1) + 1
 
 
-def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
-    """B = K(Omega, Bbar) cup {X}, returned in Pi_r coordinates."""
-    model = frame.model
-    if bbar.space != model.sigma_prime:
+def _affine_part(frame: MPSFrame, bbar: PointSet) -> np.ndarray:
+    """The affine points of Bbar, after checking what Lemma 2 and the cone
+    need of it: Bbar lives in Sigma', Bbar cap Sigma = Theta, and Bbar is
+    contained in Gamma'."""
+    if bbar.space != frame.model.sigma_prime:
         raise GeometryError("Bbar must live in Sigma'")
     vecs = bbar.vecs()
     in_sigma = vecs[:, -1] == 0
@@ -200,11 +200,17 @@ def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
         raise GeometryError("Bbar cap Sigma != Theta")
     if not _inside(frame.gamma_prime_forms, vecs, bbar.space.field).all():
         raise GeometryError("Bbar is not contained in Gamma'")
-    k = _cone(bbar.space, frame.omega_rows, frame.omega_ranks, bbar)
-    kvecs = k.vecs()
-    affine = kvecs[kvecs[:, -1] != 0]
-    pi_ranks = pg.rank_batch(model.pi_space, model.bc_to_pg_batch(affine))
-    out = PointSet(model.pi_space, np.concatenate([pi_ranks, [frame.x_rank]]))
+    return vecs[~in_sigma]
+
+
+def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
+    """B = K(Omega, Bbar) cup {X}, returned in Pi_r coordinates: X, and the
+    Pi_r-image of the cone over the affine points of Bbar (the cone over
+    Theta stays inside X)."""
+    model = frame.model
+    pts = cone_image_vecs(model, frame.omega_rows, _affine_part(frame, bbar))
+    out = PointSet(model.pi_space,
+                   np.append(pg.rank_batch(model.pi_space, pts), frame.x_rank))
     predicted = mps_size_predict(len(bbar), model.q1, model.n, frame.s)
     if len(out) != predicted:
         raise GeometryError(
@@ -223,67 +229,34 @@ def bbar_without_x(frame: MPSFrame, bbar: PointSet) -> PointSet:
     return PointSet(bbar.space, bbar.ranks[off_x])
 
 
-def _family_masks(frame: MPSFrame, vecs: np.ndarray) -> tuple[list[int], list[int]]:
-    """The family's member ranks, and per row of vecs a Python-int mask (no
-    64-bit cap) whose bit f is set iff the f-th member contains the point."""
-    ranks = []
-    masks = [0] * len(vecs)
-    for f, (rank, I) in enumerate(family_enumerate(frame)):
-        ranks.append(rank)
-        for i, v in enumerate(vecs):
-            if I.contains(v):
-                masks[i] |= 1 << f
-    return ranks, masks
+def _family_masks(frame: MPSFrame, aff: np.ndarray) -> tuple[list[int], list[int]]:
+    """The family's member ranks, and per affine point of Gamma' (row of
+    aff) a Python-int mask (no 64-bit cap) whose bit f is set iff the f-th
+    member contains the point: by Lemma 2, iff one of the point's cone
+    images lies on the f-th hyperplane."""
+    model = frame.model
+    sp = model.pi_space
+    ranks = pi_hyperplane_ranks_avoiding_x(model)
+    duals = pg.unrank_batch(sp, ranks)
+    pts = cone_image_vecs(model, frame.omega_rows, aff)
+    on = pg.dot(sp, pts[:, None, :], duals[None, :, :]) == 0
+    on = on.reshape(len(aff), len(frame.omega_rows), len(ranks)).any(axis=1)
+    bits = np.packbits(on, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    return ranks.tolist(), masks
 
 
-def f_blocking_check(bbar: PointSet, frame: MPSFrame,
-                     lemma2_sample: int = 0) -> dict:
-    """Per-family-member intersection counts of Bbar minus X; optionally
-    cross-checks |B cap S| = |(Bbar \\ X) cap I| on a sample of hyperplanes."""
-    ranks, masks = _family_masks(frame, bbar_without_x(frame, bbar).vecs())
+def f_blocking_check(bbar: PointSet, frame: MPSFrame) -> dict:
+    """Per-family-member intersection counts of Bbar minus X, which is the
+    affine part of Bbar."""
+    ranks, masks = _family_masks(frame, _affine_part(frame, bbar))
     counts = {rank: sum(m >> f & 1 for m in masks)
               for f, rank in enumerate(ranks)}
     violations = [rank for rank, c in counts.items() if c == 0]
-    result = {"covered": len(counts) - len(violations),
-              "family_size": len(counts),
-              "violations": violations,
-              "counts": counts}
-    if lemma2_sample and not violations:
-        B = mps_build(frame, bbar)
-        bvecs = B.vecs()
-        mismatches = []
-        ranks = sorted(counts)[:lemma2_sample]
-        for rank in ranks:
-            a = pg.unrank(frame.model.pi_space, rank)
-            n_inc = int(np.sum(pg.dot(frame.model.pi_space, bvecs,
-                                      np.broadcast_to(a, bvecs.shape)) == 0))
-            if n_inc != counts[rank]:
-                mismatches.append((rank, n_inc, counts[rank]))
-        result["lemma2_mismatches"] = mismatches
-    return result
-
-
-def side_condition_violations(bbar: PointSet, frame: MPSFrame) -> list[int]:
-    """Optional s = n-2 validator: for every line L of Gamma' through the
-    single point t = Theta, require L \\ {t} not a subset of Bbar.  Returns
-    dual-coefficient ranks of violating lines; informational only."""
-    if frame.theta.dim != 0:
-        raise GeometryError("side condition applies only when s = n-2")
-    t = frame.theta.mat[0]
-    space = frame.gamma_prime.space
-    bset = set(int(x) for x in bbar.ranks)
-    bad = []
-    seen = set()
-    for i, w in enumerate(frame.gamma_prime.point_vecs()):
-        L = span_in(space, [t, w])
-        if L.dim != 1 or L in seen:
-            continue
-        seen.add(L)
-        others = [r for r in L.point_ranks()
-                  if r != pg.rank_of(space, t)]
-        if all(int(r) in bset for r in others):
-            bad.append(i)
-    return bad
+    return {"covered": len(counts) - len(violations),
+            "family_size": len(counts),
+            "violations": violations,
+            "counts": counts}
 
 
 def f_search_minimal(frame: MPSFrame, max_size: int) -> list[dict]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +56,13 @@ class ProjSpace:
     def hyperplanes_per_point(self) -> int:
         return (self.q**self.m - 1) // (self.q - 1)
 
-    # number of canonical vectors whose pivot position is > j
-    def _thresh(self, j: int) -> int:
-        return (self.q ** (self.m - j) - 1) // (self.q - 1)
+    @cached_property
+    def thresh(self) -> np.ndarray:
+        """thresh[j]: the number of canonical vectors whose pivot is > j,
+        which is the least rank of pivot j."""
+        q, m = self.q, self.m
+        return np.array([(q ** (m - j) - 1) // (q - 1) for j in range(m + 1)],
+                        dtype=np.int64)
 
     def __repr__(self):
         return f"PG({self.m},{self.q})"
@@ -98,8 +103,7 @@ def rank_batch(space: ProjSpace, vecs: np.ndarray) -> np.ndarray:
     w = q ** np.arange(m, -1, -1, dtype=np.int64)  # weight q^(m-i)
     idx = np.arange(m + 1)
     val = ((v * w[None, :]) * (idx[None, :] > piv[:, None])).sum(axis=1)
-    thresh = np.array([space._thresh(j) for j in range(m + 1)], dtype=np.int64)
-    return thresh[piv] + val
+    return space.thresh[piv] + val
 
 
 def unrank(space: ProjSpace, i: int) -> np.ndarray:
@@ -111,10 +115,9 @@ def unrank_batch(space: ProjSpace, ranks: np.ndarray) -> np.ndarray:
     m, q = space.m, space.q
     if r.size and (r.min() < 0 or r.max() >= space.n_points):
         raise GeometryError("rank out of range")
-    thresh = np.array([space._thresh(j) for j in range(m + 1)], dtype=np.int64)
     # thresh is decreasing in j; pivot = largest j with thresh[j] <= rank
-    piv = (m + 1) - np.searchsorted(thresh[::-1], r, side="right")
-    rest = r - thresh[piv]
+    piv = (m + 1) - np.searchsorted(space.thresh[::-1], r, side="right")
+    rest = r - space.thresh[piv]
     out = np.zeros((len(r), m + 1), dtype=np.int64)
     out[np.arange(len(r)), piv] = 1
     for i in range(m, 0, -1):
@@ -161,7 +164,7 @@ def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
         _pivot_block(space, cv, istar, j, out[lo:lo + size])
         lo += size
     for j in range(istar + 1, m + 1):
-        base = space._thresh(j)
+        base = int(space.thresh[j])
         out[lo:lo + q ** (m - j)] = np.arange(base, base + q ** (m - j))
         lo += q ** (m - j)
     return out
@@ -186,7 +189,7 @@ def hyperplane_point_ranks(space: ProjSpace, form):
     istar, cv = _incidence_form(space, form)
     for j in range(m, -1, -1):
         if j > istar:
-            lo = space._thresh(j)
+            lo = int(space.thresh[j])
             hi = lo + q ** (m - j)
             for a in range(lo, hi, _WALK_CHUNK):
                 yield np.arange(a, min(a + _WALK_CHUNK, hi), dtype=np.int64)
@@ -232,7 +235,7 @@ def _pivot_block(space: ProjSpace, cv: np.ndarray, istar: int, j: int,
     na = m - istar  # free coordinates after i*
     n_after = q ** na
     acc = cv[j:j + 1]
-    base = space._thresh(j)
+    base = int(space.thresh[j])
     first = j + 1
     if lead is not None:
         if first < istar:

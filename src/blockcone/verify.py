@@ -137,7 +137,7 @@ class _Tiles:
             n = Q ** (m - 2 - j)
             for t0 in range(0, n, self.tiles):
                 k = min(self.tiles, n - t0)
-                yield self.space._thresh(j) + t0 * Q * Q, j, t0, k
+                yield int(self.space.thresh[j]) + t0 * Q * Q, j, t0, k
                 done += k
                 now = time.perf_counter()
                 if now - beat >= _HEARTBEAT_S:

@@ -1,20 +1,49 @@
-"""Definition oracles for `mps.f_search_minimal` and `mps.cone`.
+"""Definition oracles for the family, `mps.f_search_minimal` and `mps.cone`.
 
+`family_enumerate` builds every family member I = <blowup(H), Omega> cap
+Gamma' as a subspace, one span and one meet per hyperplane H missing X, and
+`family_masks` tests each point against each member with `Subspace.contains`.
 `f_search_minimal` tries every index set of affine points of Gamma' with
 `itertools.combinations`, size by size, and keeps those that block every
 family member while no set with one point removed does.  `cone` takes the
-span <vertex, b> of each base point on its own.  Both are the direct
-definitions, slow and kept out of the program, so that the program's pruned
-search and batched cone can be checked against them.
+span <vertex, b> of each base point on its own.  All are the direct
+definitions, slow and kept out of the program, so that the program's Lemma 2
+incidences, pruned search and batched cone can be checked against them.
 """
 
 import itertools
 
 import numpy as np
 
-from blockcone.mps import _contains_complementary_subspace, family_enumerate
+from blockcone.mps import (_contains_complementary_subspace,
+                           pi_hyperplane_ranks_avoiding_x)
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
 from blockcone import pg
+
+
+def family_enumerate(frame):
+    """Yield (hyperplane rank, I) over all hyperplanes of Pi_r missing X,
+    where I = <blowup(H), Omega> cap Gamma'."""
+    model = frame.model
+    for rank in pi_hyperplane_ranks_avoiding_x(model):
+        a = pg.unrank(model.pi_space, int(rank))
+        blow = model.hyperplane_blowup(a)
+        I = meet(span([blow, frame.omega]), frame.gamma_prime)
+        yield int(rank), I
+
+
+def family_masks(frame, vecs: np.ndarray) -> tuple[list[int], list[int]]:
+    """`mps._family_masks` from the members as subspaces: the member ranks,
+    and per row of vecs the mask whose bit f is set iff the f-th member
+    contains the point."""
+    ranks = []
+    masks = [0] * len(vecs)
+    for f, (rank, I) in enumerate(family_enumerate(frame)):
+        ranks.append(rank)
+        for i, v in enumerate(vecs):
+            if I.contains(v):
+                masks[i] |= 1 << f
+    return ranks, masks
 
 
 def minimal_covers(member: np.ndarray, max_k: int) -> list[tuple]:

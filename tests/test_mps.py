@@ -6,10 +6,8 @@ import pytest
 from blockcone import pg, verify
 from blockcone.model import make_model
 from blockcone.mps import (MPSFrame, bbar_without_x, cone, f_blocking_check,
-                           f_search_minimal, family_enumerate, frame_make,
-                           mps_build, mps_size_predict,
-                           pi_hyperplane_ranks_avoiding_x,
-                           side_condition_violations)
+                           f_search_minimal, frame_make, mps_build,
+                           mps_size_predict, pi_hyperplane_ranks_avoiding_x)
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
 
 
@@ -35,17 +33,6 @@ def test_frame_validation_catches_broken_frames(frame):
     bad = MPSFrame(m, 0, frame.omega, frame.gamma, frame.gamma, frame.theta)
     with pytest.raises(GeometryError):
         bad.validate()
-
-
-def test_family_size_and_member_dimension(frame):
-    members = list(family_enumerate(frame))
-    q1, n, r = frame.model.q1, frame.model.n, frame.model.r
-    # hyperplanes of PG(r, q1^n) missing the point X
-    assert len(members) == (q1**n) ** r
-    rn = frame.model.r * frame.model.n
-    for _, I in members:
-        # each member is a hyperplane of Gamma'
-        assert I.dim == rn - frame.s - 2
 
 
 def test_lemma1_cone_spans_meet_in_omega(frame):
@@ -152,12 +139,6 @@ def test_teo5_triviality_direction(frame, minimal_sets):
                 "B trivial must imply Bbar contains a complementary subspace"
 
 
-def test_lemma2_counts_agree(frame, minimal_sets):
-    chk = f_blocking_check(minimal_sets[0]["bbar"], frame, lemma2_sample=16)
-    assert chk["violations"] == []
-    assert chk["lemma2_mismatches"] == []
-
-
 def test_family_counts_against_naive_pi_incidence(frame, minimal_sets):
     bbar = minimal_sets[-1]["bbar"]
     chk = f_blocking_check(bbar, frame)
@@ -167,18 +148,31 @@ def test_family_counts_against_naive_pi_incidence(frame, minimal_sets):
         assert counts[rank] == c
 
 
-def test_side_condition_validator_runs(frame, minimal_sets):
-    # s = n-2 here, so the validator applies; it reports, never raises
-    out = side_condition_violations(minimal_sets[0]["bbar"], frame)
-    assert isinstance(out, list)
-
-
 def test_bbar_must_live_in_gamma_prime(frame):
     sp = frame.model.sigma_prime
     outside = PointSet(sp, np.concatenate([frame.theta.point_ranks(),
                                            [pg.rank_of(sp, frame.model.vertex_p)]]))
     with pytest.raises(GeometryError):
         mps_build(frame, outside)
+
+
+def test_f_blocking_check_validates_bbar(frame, minimal_sets):
+    """Lemma 2 counts only hold for Bbar cap Sigma = Theta and Bbar inside
+    Gamma': a point of Gamma off X, or an affine point off Gamma', is
+    refused, as in `mps_build`."""
+    sp = frame.model.sigma_prime
+    bbar = minimal_sets[-1]["bbar"]
+    gamma_off_x = np.setdiff1d(frame.gamma.point_ranks(),
+                               frame.model.X.point_ranks())
+    aff = np.flatnonzero(pg.unrank_batch(sp, np.arange(sp.n_points))[:, -1])
+    off_gp = np.setdiff1d(aff, frame.gamma_prime.point_ranks())
+    for extra, what in ((gamma_off_x[0], "Sigma != Theta"),
+                        (off_gp[0], "not contained in Gamma'")):
+        bad = PointSet(sp, np.append(bbar.ranks, extra))
+        with pytest.raises(GeometryError, match=what):
+            f_blocking_check(bad, frame)
+        with pytest.raises(GeometryError, match=what):
+            mps_build(frame, bad)
 
 
 def test_seed_shifts_give_valid_frames():

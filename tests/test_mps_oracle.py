@@ -1,5 +1,5 @@
-"""The pruned minimal-cover search and the batched cone against their
-definition oracles in `mps_oracle`."""
+"""The Lemma 2 family incidences, the pruned minimal-cover search and the
+batched cone against their definition oracles in `mps_oracle`."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockcone.model import make_model
-from blockcone.mps import _minimal_covers, cone, f_search_minimal, frame_make
-from blockcone.pg import GeometryError, PointSet, ProjSpace, Subspace
+from blockcone import pg
+from blockcone.mps import (_family_masks, _minimal_covers, cone,
+                           f_search_minimal, frame_make)
+from blockcone.pg import GeometryError, PointSet, ProjSpace, Subspace, meet
 
 import mps_oracle
 
@@ -21,6 +23,36 @@ def listing(found):
 SEARCH_CASES = [((2, 2, 2, 0), (0, 1, 3, 5), 9),
                 ((2, 3, 2, 1), (0, 1), 7),
                 ((3, 2, 2, 0), (0,), 6)]
+
+
+def test_family_size_and_member_dimension():
+    frame = frame_make(make_model(2, 2, 2), 0)
+    members = list(mps_oracle.family_enumerate(frame))
+    q1, n, r = frame.model.q1, frame.model.n, frame.model.r
+    # hyperplanes of PG(r, q1^n) missing the point X
+    assert len(members) == (q1**n) ** r
+    rn = frame.model.r * frame.model.n
+    for _, I in members:
+        # each member is a hyperplane of Gamma'
+        assert I.dim == rn - frame.s - 2
+
+
+@pytest.mark.parametrize("config", [c for c, _, _ in SEARCH_CASES])
+def test_family_masks_match_members(config):
+    """Lemma 2: the masks of the cone images against the member duals are
+    the masks of the members built as subspaces, on every point of Gamma'
+    off Sigma."""
+    q1, n, r, s = config
+    model = make_model(q1, n, r)
+    for seed in range(4):
+        frame = frame_make(model, s, seed)
+        gp = frame.gamma_prime
+        sigma_part = meet(gp, model.sigma).point_ranks()
+        affine = np.setdiff1d(gp.point_ranks(), sigma_part)
+        aff = pg.unrank_batch(gp.space, affine)
+        want = mps_oracle.family_masks(frame, aff)
+        assert all(want[1])
+        assert _family_masks(frame, aff) == want, (config, seed)
 
 
 @pytest.mark.parametrize("config,seeds,top", SEARCH_CASES)

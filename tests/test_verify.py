@@ -281,7 +281,7 @@ def test_tiles_recount_pg3_729():
     ps = PointSet.from_vecs(sp, vecs[vecs.any(axis=1)])
     seeded = sorted(rng.choice(Q, size=3, replace=False).tolist())
     want = {0: Q + 1, Q + 1: Q * Q}
-    want.update({sp._thresh(0) + a * Q * Q: Q * Q for a in seeded})
+    want.update({int(sp.thresh[0]) + a * Q * Q: Q * Q for a in seeded})
     got = {}
     for lo, cnt in verify._Tiles(sp, ps.vecs(), "test").counts():
         for w, size in want.items():
