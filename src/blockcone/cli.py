@@ -134,6 +134,8 @@ def _load_any_bundle(path):
 
 def cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise GeometryError("no checks given")
     known = {"blocking", "minimal", "trivial", "planar", "spectrum",
              "tangency"}
     bad = set(checks) - known
@@ -147,67 +149,36 @@ def cmd_verify(args) -> int:
         if check in checks and bundle is None:
             raise GeometryError(f"{check} check needs an example36 bundle")
 
-    spectra = None
-    spectrum_ok = True
+    theorems, proved = {}, True
     if "spectrum" in checks:
-        spectra = {}
+        spectra = theorems["spectra"] = {}
         for target in ("bbar", "btilde"):
             t0 = time.perf_counter()
             try:
-                spectra[target] = example36.spectrum_scan(
-                    bundle, target, structural_sample=args.spectrum_sample)
+                spectra[target] = example36.spectrum_scan(bundle, target)
             except GeometryError as exc:
                 spectra[target] = {"violation": str(exc)}
-                spectrum_ok = False
+                proved = False
             timings[f"spectrum.{target}"] = _ms_since(t0)
         timings["spectrum"] = round(timings["spectrum.bbar"]
                                     + timings["spectrum.btilde"], 3)
-
-    tangency = None
     if "tangency" in checks:
         t0 = time.perf_counter()
         try:
-            tangency = example36.tangency_scan(bundle)
+            theorems["tangency"] = example36.tangency_scan(bundle)
         except GeometryError as exc:
-            tangency = {"violation": str(exc)}
+            theorems["tangency"] = {"violation": str(exc)}
+            proved = False
         timings["tangency"] = _ms_since(t0)
 
-    rep = verify.run_checks(B, manifest, checks, spectra=spectra)
-    rep.timings_ms.update(timings)
-    out = rep.to_dict()
-    if tangency is not None:
-        out["tangency"] = tangency
+    out, ok = verify.run_checks(B, manifest, checks)
+    out["timings_ms"].update(timings)
+    out.update(theorems)
     out["config"] = {"command": "verify", "bundle": args.bundle,
                      "checks": checks}
-
-    ok = spectrum_ok and (tangency is None or "violation" not in tangency)
-    if "blocking" in checks:
-        ok &= out["blocking"]["blocking"]
-    if "minimal" in checks:
-        ok &= out["minimality"]["minimal"]
-    if "trivial" in checks:
-        ok &= not out["trivial"]
-    if "planar" in checks and B.space.m > 2:
-        ok &= not out["planar"]["planar"]
-    out["verified"] = bool(ok)
+    out["verified"] = ok = bool(ok and proved)
     _emit(out, args.report)
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def cmd_spectrum(args) -> int:
-    bundle = example36.load_bundle(args.bundle, strict=True)
-    try:
-        result = example36.spectrum_scan(bundle, args.target,
-                                         structural_sample=args.sample)
-    except GeometryError as exc:
-        _emit({"config": {"command": "spectrum", "bundle": args.bundle,
-                          "target": args.target},
-               "violation": str(exc)}, args.out)
-        return EXIT_FAIL
-    result["config"] = {"command": "spectrum", "bundle": args.bundle,
-                        "target": args.target, "sample": args.sample}
-    _emit(result, args.out)
-    return EXIT_OK
 
 
 def cmd_excluder(args) -> int:
@@ -273,15 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--checks", default="blocking,minimal,trivial,planar")
     p.add_argument("--report")
-    p.add_argument("--spectrum-sample", type=int, default=100)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("spectrum", help="family intersection spectrum")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--target", choices=("bbar", "btilde"), required=True)
-    p.add_argument("--sample", type=int, default=100)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("excluder", help="cone-class cardinality exclusion")
     p.add_argument("--size", type=int, required=True)

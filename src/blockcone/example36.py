@@ -402,17 +402,23 @@ def example_build(q: int, seed: int = 0) -> Bundle:
 _HIST_CHUNK = 1 << 22
 
 
+def _image_ranks(model: BCModel, vecs: np.ndarray) -> np.ndarray:
+    """Ranks of the Pi_r-images u + a.p, a in GF(q1), of the affine rows u of
+    vecs: q1 consecutive ranks per u."""
+    p_rows = _row_space(span_in(model.sigma_prime, [model.vertex_p]))
+    pts = cone_image_vecs(model, p_rows, vecs[vecs[:, -1] != 0])
+    return pg.rank_batch(model.pi_space, pts)
+
+
 def cone_image(model: BCModel, ps: PointSet) -> PointSet:
     """Pi_r-image of the affine part of the cone K(p, ps): the q1 points
     u + a.p, a in GF(q1), of each affine point u of ps.  Points of ps inside
     Sigma are dropped, since their cone lines stay inside Sigma.  Two affine
     points on one line through p would share their image, so that is
     refused."""
-    vecs = ps.vecs()
-    p_rows = _row_space(span_in(model.sigma_prime, [model.vertex_p]))
-    pts = cone_image_vecs(model, p_rows, vecs[vecs[:, -1] != 0])
-    image = PointSet(model.pi_space, pg.rank_batch(model.pi_space, pts))
-    if len(image) != len(pts):
+    ranks = _image_ranks(model, ps.vecs())
+    image = PointSet(model.pi_space, ranks)
+    if len(image) != len(ranks):
         raise GeometryError("two points of the set lie on one line through p")
     return image
 
@@ -528,7 +534,7 @@ class FamilyScanner:
 
 
 def spectrum_scan(bundle: Bundle, target: str,
-                  structural_sample: int = 200) -> dict:
+                  structural_sample: int = 100) -> dict:
     """Intersection spectrum of Bbar or Btilde over the family of the
     hyperplanes H of Pi_3 missing X; any value outside the proved spectra
     aborts with the offending dual point.
@@ -621,37 +627,42 @@ def _structural_checks(bundle: Bundle, x_ranks: np.ndarray,
 
 def tangency_scan(bundle: Bundle) -> dict:
     """For every point u of (Bbar u Btilde) \\ Sigma, the least family
-    member meeting Bbar u Btilde exactly in u, with the witness located in
-    the X'-subfamily for u in Bbar and outside it for u in Btilde.
+    member meeting Bbar u Btilde exactly in u, which must lie in the
+    X'-subfamily for u in Bbar and outside it for u in Btilde.
 
     By Lemma 2 the members meeting the union exactly in u are the hyperplanes
     missing X through one of u's q1 cone-image points whose count over the
-    union's image is 1: a least tangent of an image point
-    (`verify.least_tangents`), on the X'-subfamily side of u's part.  No cell
-    through X has count 1: the q1 image points of u lie on one line of Pi_3
-    through X, so a hyperplane through X and one of them holds all q1."""
+    union's image is 1.  So the witnesses are the minimality witnesses of the
+    union's image, the least over u's q1 image points.  None passes through
+    X: the q1 image points of u lie on one line of Pi_3 through X, so a
+    hyperplane through X and one of them holds all q1.  The side is checked,
+    not searched for: Btilde counts 0 or |Btilde| on the X'-subfamily and at
+    least 1 off it, so every tangent lies on its part's side."""
     fr = bundle.frame
     model = fr.model
     union = fr.bbar.union(fr.btilde)
-    counts = verify.blocking_check(cone_image(model, union)).counts
-    _, xp_members = family_ranks(model)
-    vecs = union.vecs()
-    aff = vecs[:, -1] != 0
-    points = union.ranks[aff]
-    in_bbar = verify.in_sorted(fr.bbar.ranks, points)
-    q1 = model.q1
-    # Omega = {p}: the rows a.p, a = 0 .. q1 - 1, so q1 image points per u
-    best = verify.least_tangents(
-        model.pi_space, cone_image_vecs(model, fr.mps.omega_rows, vecs[aff]),
-        counts, "tangency",
-        side=(xp_members, np.repeat(in_bbar, q1)))
+    image = cone_image(model, union)
+    witness = dict(verify.minimality_check(
+        image, verify.blocking_check(image)).essential)
     none = model.pi_space.n_points  # above every rank
-    best = np.where(best < 0, none, best).reshape(-1, q1).min(axis=1)
+    vecs = union.vecs()
+    points = union.ranks[vecs[:, -1] != 0]
+    best = np.array([witness.get(r, none) for r in
+                     _image_ranks(model, vecs).tolist()])
+    best = best.reshape(len(points), model.q1).min(axis=1)
     missing = points[best == none]
     if missing.size:
         raise GeometryError(
             f"points without tangent witness: {missing.tolist()}")
+    _, xp_members = family_ranks(model)
+    in_bbar = verify.in_sorted(fr.bbar.ranks, points)
     in_family = verify.in_sorted(xp_members, best)
+    wrong = np.flatnonzero(in_family != in_bbar)
+    if wrong.size:
+        i = wrong[0]
+        raise GeometryError(
+            f"tangent witness {best[i]} of point {points[i]} lies "
+            f"{'outside' if in_bbar[i] else 'inside'} the X'-subfamily")
     witnesses = [{"point": int(u), "witness": int(w),
                   "in_xprime_family": bool(fam),
                   "part": "bbar" if part else "btilde"}
@@ -669,6 +680,8 @@ def mps_excluder(size: int, p: int, e: int) -> dict:
     of that shape; 'excluded' iff every factorization fails."""
     if size < 2:
         raise GeometryError("size must be >= 2")
+    if e < 1:
+        raise GeometryError("e must be >= 1")
     if not is_prime(p):
         raise GeometryError(f"{p} is not prime")
     admissible = []

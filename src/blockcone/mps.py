@@ -11,8 +11,10 @@ B = K(Omega, Bbar) cup {X} of Pi_r.
 Family membership is Lemma 2: for H missing X, an affine point b of Gamma'
 lies in <blowup(H), Omega> cap Gamma' iff one of its cone points b + omega
 (omega over Omega's row space) maps into H.  `cone_image_vecs` is that map:
-`mps_build` ranks its image of Bbar, `_family_masks` is its incidence table
-with the member duals.  The members as subspaces are only the tests' oracle.
+`mps_build` ranks its image of Bbar, and `_family_table` is its incidence
+table with the member duals, which `f_blocking_check` counts and
+`_family_masks` packs into bitmasks for the search.  The members as
+subspaces are only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -229,18 +231,27 @@ def bbar_without_x(frame: MPSFrame, bbar: PointSet) -> PointSet:
     return PointSet(bbar.space, bbar.ranks[off_x])
 
 
-def _family_masks(frame: MPSFrame, aff: np.ndarray) -> tuple[list[int], list[int]]:
-    """The family's member ranks, and per affine point of Gamma' (row of
-    aff) a Python-int mask (no 64-bit cap) whose bit f is set iff the f-th
-    member contains the point: by Lemma 2, iff one of the point's cone
-    images lies on the f-th hyperplane."""
+def _family_table(frame: MPSFrame,
+                  aff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The family's member ranks, and the (points, members) boolean table of
+    the affine points of Gamma' (rows of aff) on the members: by Lemma 2, a
+    point lies on the f-th member iff one of its cone images lies on the
+    f-th hyperplane."""
     model = frame.model
     sp = model.pi_space
     ranks = pi_hyperplane_ranks_avoiding_x(model)
     duals = pg.unrank_batch(sp, ranks)
     pts = cone_image_vecs(model, frame.omega_rows, aff)
     on = pg.dot(sp, pts[:, None, :], duals[None, :, :]) == 0
-    on = on.reshape(len(aff), len(frame.omega_rows), len(ranks)).any(axis=1)
+    return ranks, on.reshape(len(aff), len(frame.omega_rows),
+                             len(ranks)).any(axis=1)
+
+
+def _family_masks(frame: MPSFrame, aff: np.ndarray) -> tuple[list[int], list[int]]:
+    """The family's member ranks, and per row of `_family_table` a Python-int
+    mask (no 64-bit cap) whose bit f is set iff the point is on the f-th
+    member."""
+    ranks, on = _family_table(frame, aff)
     bits = np.packbits(on, axis=1, bitorder="little")
     masks = [int.from_bytes(row.tobytes(), "little") for row in bits]
     return ranks.tolist(), masks
@@ -249,9 +260,8 @@ def _family_masks(frame: MPSFrame, aff: np.ndarray) -> tuple[list[int], list[int
 def f_blocking_check(bbar: PointSet, frame: MPSFrame) -> dict:
     """Per-family-member intersection counts of Bbar minus X, which is the
     affine part of Bbar."""
-    ranks, masks = _family_masks(frame, _affine_part(frame, bbar))
-    counts = {rank: sum(m >> f & 1 for m in masks)
-              for f, rank in enumerate(ranks)}
+    ranks, on = _family_table(frame, _affine_part(frame, bbar))
+    counts = dict(zip(ranks.tolist(), on.sum(axis=0).tolist()))
     violations = [rank for rank, c in counts.items() if c == 0]
     return {"covered": len(counts) - len(violations),
             "family_size": len(counts),

@@ -1,9 +1,10 @@
 """Exhaustive certification of blocking / minimality / triviality / planarity.
 
-Blocking, minimality and the example's tangency witnesses are incidence
-counts over all hyperplanes, and all three run on one kernel, `_Tiles`.  It
-walks the hyperplane ranks of PG(m, q) in increasing order, tile by tile, and
-meets all points with a tile at once:
+Blocking and minimality are incidence counts over all hyperplanes, and both
+run on one kernel, `_Tiles` (the example's tangency witnesses are the
+minimality witnesses of a cone image, `example36.tangency_scan`).  It walks
+the hyperplane ranks of PG(m, q) in increasing order, tile by tile, and meets
+all points with a tile at once:
 
 - the low tile is the q + 1 ranks of pivots m - 1 and m;
 - every other tile is the q^2 contiguous ranks of one pivot j <= m - 2 and
@@ -25,13 +26,15 @@ of all points.  Counters saturate at 255, which is safe: blocking needs
 `>= 1` and minimality only distinguishes 1 from `>= 2`.  A point's least
 tangent (the least hyperplane through it of count 1) comes from the same walk
 in rank order, which a point leaves at its first tangent.
+
+`run_checks` is the one builder of a verify report and of its verdict.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,70 +204,46 @@ class _Tiles:
                     d == 0, axis=1)[:, None]
             yield lo, cnt
 
-    def tangents(self, counts: np.ndarray, side=None) -> np.ndarray:
+    def tangents(self, counts: np.ndarray) -> np.ndarray:
         """Per point, the least hyperplane rank through it whose count is 1,
-        or -1.  With side = (sorted ranks R, bool per point), a point marked
-        True takes only hyperplanes in R, the others only those outside R."""
+        or -1."""
         Q = self.space.q
         P = len(self.g)
-        cls = np.zeros(P, dtype=np.int64) if side is None else \
-            np.asarray(side[1], dtype=np.int64)
-
-        def accept(lo: int, hi: int) -> np.ndarray:
-            # (classes, hi - lo): the cells a point of each class accepts
-            one = counts[lo:hi] == 1
-            if side is None:
-                return one[None]
-            ranks = side[0]
-            inside = np.zeros(hi - lo, dtype=bool)
-            inside[ranks[np.searchsorted(ranks, lo):
-                         np.searchsorted(ranks, hi)] - lo] = True
-            return np.stack([one & ~inside, one & inside])
-
         best = np.full(P, -1, dtype=np.int64)
-        ok = accept(0, Q + 1)
-        best[self.single] = np.where(ok[cls[self.single], self.low],
-                                     self.low, -1)
-        best[self.whole] = _first(
-            np.broadcast_to(np.arange(Q + 1), (self.whole.size, Q + 1)),
-            ok[cls[self.whole]])
+        ok = counts[:Q + 1] == 1
+        best[self.single] = np.where(ok[self.low], self.low, -1)
+        # whole points lie on every hyperplane of the low tile
+        one = np.flatnonzero(ok)
+        best[self.whole] = one[0] if one.size else -1
         diag_pos = np.zeros(P, dtype=np.int64)
         diag_pos[self.diag] = np.arange(self.diag.size)
         for lo, j, t0, k in self._batches():
             open_ = best < 0
             if not open_.any():
                 break
-            ok = accept(lo, lo + k * Q * Q)
+            ok = counts[lo:lo + k * Q * Q] == 1
             # diagonal and row points: their cells, per point in rank order
             idx = self.diag[open_[self.diag]]
             cells = self._diag_cells(self.step[:, diag_pos[idx]],
                                      self._offsets(idx, j, t0, k))
             cells = cells.transpose(2, 0, 1).reshape(idx.size, k * Q)
-            best[idx] = _first(cells, ok[cls[idx, None], cells])
+            best[idx] = _first(cells, ok[cells])
             idx = self.row[open_[self.row]]
             starts = np.arange(k)[:, None] * (Q * Q) + \
                 self._offsets(idx, j, t0, k) * Q
             cells = (starts.T[:, :, None] + np.arange(Q)).reshape(idx.size,
                                                                   k * Q)
-            best[idx] = _first(cells, ok[cls[idx, None], cells])
-            # whole points: the first accepted cell of each tile with d = 0
+            best[idx] = _first(cells, ok[cells])
+            # whole points: the first count-1 cell of each tile with d = 0
             idx = self.whole[open_[self.whole]]
             if idx.size:
-                per_tile = ok.reshape(len(ok), k, Q * Q)
-                cells = np.arange(k) * (Q * Q) + \
-                    per_tile.argmax(axis=2)[cls[idx]]
-                hit = per_tile.any(axis=2)[cls[idx]] & (
+                per_tile = ok.reshape(k, Q * Q)
+                cells = np.arange(k) * (Q * Q) + per_tile.argmax(axis=1)
+                hit = per_tile.any(axis=1) & (
                     self._offsets(idx, j, t0, k).T == 0)
-                best[idx] = _first(cells, hit)
+                best[idx] = _first(np.broadcast_to(cells, hit.shape), hit)
             best[open_ & (best >= 0)] += lo
         return best
-
-
-def least_tangents(space: ProjSpace, vecs, counts: np.ndarray, what: str,
-                   side=None) -> np.ndarray:
-    """Per point of vecs, the least hyperplane rank through it whose counter
-    in `counts` is 1, or -1; see `_Tiles.tangents` for `side`."""
-    return _Tiles(space, vecs, what).tangents(counts, side)
 
 
 def blocking_check(ps: PointSet) -> CoverageResult:
@@ -298,7 +277,7 @@ def minimality_check(ps: PointSet, coverage: CoverageResult) -> MinimalityResult
     if coverage.checksum != _checksum(ps):
         raise ValueError("coverage array does not belong to this point set")
     t0 = time.perf_counter()
-    best = least_tangents(ps.space, ps.vecs(), coverage.counts, "minimality")
+    best = _Tiles(ps.space, ps.vecs(), "minimality").tangents(coverage.counts)
     essential = [(int(r), int(w)) for r, w in zip(ps.ranks, best) if w >= 0]
     inessential = [int(r) for r, w in zip(ps.ranks, best) if w < 0]
     return MinimalityResult(essential, inessential,
@@ -361,63 +340,42 @@ def planarity_check(ps: PointSet) -> tuple[int, bool]:
     return S.dim, S.dim <= 2
 
 
-@dataclass
-class VerificationReport:
-    manifest: dict
-    space: str
-    set_size: int
-    blocking: dict | None = None
-    minimality: dict | None = None
-    trivial: bool | None = None
-    planar: dict | None = None
-    spectra: dict | None = None
-    timings_ms: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "manifest": self.manifest,
-            "space": self.space,
-            "sizes": {"set": self.set_size},
-            "timings_ms": self.timings_ms,
-        }
-        for k in ("blocking", "minimality", "trivial", "planar", "spectra"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
-
-
-def run_checks(ps: PointSet, manifest: dict, checks,
-               spectra: dict | None = None) -> VerificationReport:
-    rep = VerificationReport(manifest=manifest, space=repr(ps.space),
-                             set_size=len(ps))
-    coverage = None
+def run_checks(ps: PointSet, manifest: dict, checks) -> tuple[dict, bool]:
+    """The report of the named checks on ps, and its verdict: blocking,
+    minimal, not trivial and, in a space of dimension > 2, not planar, as
+    far as those checks were asked for."""
+    timings: dict = {}
+    out = {"manifest": manifest, "space": repr(ps.space),
+           "sizes": {"set": len(ps)}, "timings_ms": timings}
+    ok = True
     if "blocking" in checks or "minimal" in checks:
         coverage = blocking_check(ps)
-        rep.blocking = {
+        out["blocking"] = {
             "total": int(coverage.space.n_points),
             "uncovered": coverage.uncovered_sample,
             "uncovered_total": coverage.uncovered_total,
             "blocking": coverage.blocking,
         }
-        rep.timings_ms["blocking"] = round(coverage.elapsed_ms, 3)
+        timings["blocking"] = round(coverage.elapsed_ms, 3)
+        ok &= "blocking" not in checks or coverage.blocking
     if "minimal" in checks:
         mres = minimality_check(ps, coverage)
-        rep.minimality = {
+        out["minimality"] = {
             "essential": [{"point": p, "witness": w} for p, w in mres.essential],
             "inessential": mres.inessential,
             "minimal": mres.minimal,
         }
-        rep.timings_ms["minimality"] = round(mres.elapsed_ms, 3)
+        timings["minimality"] = round(mres.elapsed_ms, 3)
+        ok &= mres.minimal
     if "trivial" in checks:
         t0 = time.perf_counter()
-        rep.trivial = triviality_check(ps)
-        rep.timings_ms["trivial"] = round((time.perf_counter() - t0) * 1e3, 3)
+        out["trivial"] = triviality_check(ps)
+        timings["trivial"] = round((time.perf_counter() - t0) * 1e3, 3)
+        ok &= not out["trivial"]
     if "planar" in checks:
         t0 = time.perf_counter()
         dim, planar = planarity_check(ps)
-        rep.planar = {"span_dim": dim, "planar": planar}
-        rep.timings_ms["planar"] = round((time.perf_counter() - t0) * 1e3, 3)
-    if spectra is not None:
-        rep.spectra = spectra
-    return rep
+        out["planar"] = {"span_dim": dim, "planar": planar}
+        timings["planar"] = round((time.perf_counter() - t0) * 1e3, 3)
+        ok &= not planar or ps.space.m <= 2
+    return out, ok

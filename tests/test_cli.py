@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blockcone import cli, example36, verify
+from blockcone import cli, example36, pg, verify
 from blockcone.gf import cached_field
 from blockcone.pg import PointSet, ProjSpace, save_point_set
 
@@ -73,7 +76,7 @@ def test_verify_bundle_ok(bundle_path, tmp_path):
 def test_verify_spectrum_check(bundle_path, tmp_path):
     report = tmp_path / "rs.json"
     rc = run(["verify", "--bundle", str(bundle_path), "--checks", "spectrum",
-              "--spectrum-sample", "10", "--report", str(report)])
+              "--report", str(report)])
     assert rc == 0
     data = json.loads(report.read_text())
     assert set(data["spectra"]) == {"bbar", "btilde"}
@@ -117,10 +120,9 @@ def test_malformed_example_bundle_exits_2(bundle_path, tmp_path, capsys,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert run(["verify", "--bundle", str(bad)]) == 2
-    assert run(["spectrum", "--bundle", str(bad), "--target", "bbar"]) == 2
     key = next(iter(edit))
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(repr(key) in line for line in err)
+    assert len(err) == 1 and repr(key) in err[0]
     with pytest.raises(example36.GeometryError):
         example36.load_bundle(bad)
 
@@ -149,7 +151,6 @@ def test_non_object_bundle_exits_2(tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")
     assert run(["verify", "--bundle", str(bad)]) == 2
-    assert run(["spectrum", "--bundle", str(bad), "--target", "bbar"]) == 2
 
 
 def test_verify_tampered_bundle_fails(bundle_path, tmp_path):
@@ -171,29 +172,66 @@ def test_verify_unknown_check_is_usage_error(bundle_path):
                 "--checks", "blocking,nonsense"]) == 2
 
 
+@pytest.mark.parametrize("checks", [",", ""])
+def test_verify_empty_check_list_is_usage_error(bundle_path, tmp_path,
+                                                checks):
+    report = tmp_path / "none.json"
+    assert run(["verify", "--bundle", str(bundle_path), "--checks", checks,
+                "--report", str(report)]) == 2
+    assert not report.exists()
+
+
 def test_verify_missing_bundle_is_usage_error(tmp_path):
     assert run(["verify", "--bundle", str(tmp_path / "nope.json")]) == 2
 
 
 def test_spectrum_command(bundle_path, tmp_path):
+    # `verify --checks spectrum` is the one spectrum entry point, with 100
+    # sampled structural checks per part
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--bundle", str(bundle_path), "--target", "btilde"])
+    assert exc.value.code == 2
     out = tmp_path / "spec.json"
-    rc = run(["spectrum", "--bundle", str(bundle_path), "--target", "btilde",
-              "--sample", "5", "--out", str(out)])
+    rc = run(["verify", "--bundle", str(bundle_path), "--checks", "spectrum",
+              "--report", str(out)])
     assert rc == 0
-    data = json.loads(out.read_text())
-    assert set(map(int, data["ht_histogram"])) <= {0, 37}
+    data = json.loads(out.read_text())["spectra"]
+    assert set(map(int, data["btilde"]["ht_histogram"])) <= {0, 37}
+    assert data["bbar"]["structural"]["sampled"] == 100
+    assert data["btilde"]["structural"]["sampled"] == 100
+
+
+def test_tangency_wrong_side_fails(bundle_path, tmp_path, monkeypatch):
+    # the X'-subfamily of another spread element in place of X''s: the
+    # witnesses of Bbar's points then lie outside it, which is an error
+    real = example36.family_ranks
+
+    def wrong(model):
+        x_ranks, _ = real(model)
+        other = pg.hyperplanes_through(
+            model.pi_space, model.spread_to_pg_vec(model.xprime_index + 1))
+        return x_ranks, np.setdiff1d(other, x_ranks)
+
+    monkeypatch.setattr(example36, "family_ranks", wrong)
+    bundle = example36.load_bundle(bundle_path)
+    with pytest.raises(example36.GeometryError, match="X'-subfamily"):
+        example36.tangency_scan(bundle)
+    report = tmp_path / "side.json"
+    assert run(["verify", "--bundle", str(bundle_path), "--checks", "tangency",
+                "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["verified"] is False
+    assert "X'-subfamily" in data["tangency"]["violation"]
 
 
 def test_infeasible_family_scan_exits_2(monkeypatch, capsys, tmp_path):
     # a q = 4 example lives in PG(3, 4096): counting its cone image asks for
-    # 6.9e10 hyperplane counters, so both spectrum entry points stop before
+    # 6.9e10 hyperplane counters, so `verify --checks spectrum` stops before
     # allocating them, with a usage error, not a spectrum violation
     image = PointSet(ProjSpace(3, cached_field(2, 12)), np.array([0]))
     stub = SimpleNamespace(frame=SimpleNamespace(q=4, model=None,
                                                  bbar=image, btilde=image),
                            B=image)
-    monkeypatch.setattr(example36, "load_bundle",
-                        lambda path, strict=True: stub)
     monkeypatch.setattr(cli, "_load_any_bundle",
                         lambda path: (image, {}, stub))
     monkeypatch.setattr(example36, "cone_image", lambda model, ps: ps)
@@ -202,16 +240,13 @@ def test_infeasible_family_scan_exits_2(monkeypatch, capsys, tmp_path):
         raise AssertionError("counting started")
 
     monkeypatch.setattr(verify, "_Tiles", refuse)
-    out = tmp_path / "spec.json"
-    assert run(["spectrum", "--bundle", "q4.json", "--target", "bbar",
-                "--out", str(out)]) == 2
     report = tmp_path / "rep.json"
     assert run(["verify", "--bundle", "q4.json", "--checks", "spectrum",
                 "--report", str(report)]) == 2
-    assert not out.exists() and not report.exists()
+    assert not report.exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2
-    assert all("GiB" in line and "budget" in line for line in err)
+    assert len(err) == 1
+    assert "GiB" in err[0] and "budget" in err[0]
 
 
 def test_infeasible_counter_exits_2(tmp_path, monkeypatch, capsys):
@@ -243,6 +278,8 @@ def test_excluder_command(tmp_path, capsys):
     assert run(["excluder", "--size", str(2**10 + 1), "--p", "2", "--e", "1",
                 "--out", str(out)]) == 0
     assert json.loads(out.read_text())["verdict"] == "admissible"
+    for e in ("0", "-1"):
+        assert run(["excluder", "--size", "213", "--p", "2", "--e", e]) == 2
 
 
 def test_search_and_construct_mps_flow(tmp_path):
@@ -336,3 +373,16 @@ def test_reports_are_deterministic(tmp_path):
         data["config"].pop("bundle")
         reps.append(json.dumps(data, sort_keys=True))
     assert reps[0] == reps[1]
+
+
+def test_readme_cli_block_parses():
+    """Every `blockcone ...` command of README's CLI block parses, so that a
+    removed subcommand or option cannot linger in the docs."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("blockcone ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])

@@ -484,6 +484,9 @@ def test_excluder_rejects_bad_input():
         ex.mps_excluder(213, 4, 1)
     with pytest.raises(GeometryError):
         ex.mps_excluder(1, 2, 1)
+    for e in (0, -1):
+        with pytest.raises(GeometryError):
+            ex.mps_excluder(213, 2, e)
 
 
 def test_manifest_records_choices(bundle):

@@ -188,9 +188,9 @@ def test_naive_oracle_refuses_large_spaces():
 def test_run_checks_report_schema():
     sp = _space(2, 2, 2)
     ps = _line_set(sp)
-    rep = verify.run_checks(ps, {"demo": 1},
-                            ["blocking", "minimal", "trivial", "planar"])
-    out = rep.to_dict()
+    out, ok = verify.run_checks(ps, {"demo": 1},
+                                ["blocking", "minimal", "trivial", "planar"])
+    assert ok is False  # trivial
     assert out["manifest"] == {"demo": 1}
     assert out["sizes"]["set"] == len(ps)
     assert out["blocking"]["total"] == sp.n_points
@@ -199,6 +199,9 @@ def test_run_checks_report_schema():
     assert out["trivial"] is True  # a line is the trivial blocking set
     assert out["planar"]["span_dim"] == 1
     assert "timings_ms" in out
+    # planar is no failure in a plane
+    out, ok = verify.run_checks(ps, {}, ["blocking", "minimal", "planar"])
+    assert ok is True and out["planar"]["planar"] is True
 
 
 def _least_tangents_naive(ps: PointSet, counts: np.ndarray) -> list[int]:
