@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -149,27 +150,30 @@ def cmd_verify(args) -> int:
         if check in checks and bundle is None:
             raise GeometryError(f"{check} check needs an example36 bundle")
 
-    theorems, proved = {}, True
+    # (report block, key, timing name, scan); a GeometryError of a scan is
+    # reported as its violation and fails the verdict
+    theorems, proved, scans = {}, True, []
     if "spectrum" in checks:
         spectra = theorems["spectra"] = {}
-        for target in ("bbar", "btilde"):
-            t0 = time.perf_counter()
-            try:
-                spectra[target] = example36.spectrum_scan(bundle, target)
-            except GeometryError as exc:
-                spectra[target] = {"violation": str(exc)}
-                proved = False
-            timings[f"spectrum.{target}"] = _ms_since(t0)
-        timings["spectrum"] = round(timings["spectrum.bbar"]
-                                    + timings["spectrum.btilde"], 3)
+        scans += [(spectra, t, f"spectrum.{t}",
+                   partial(example36.spectrum_scan, bundle, t))
+                  for t in ("bbar", "btilde")]
+        scans.append((spectra, "structural", "spectrum.structural",
+                      partial(example36.structural_checks, bundle)))
     if "tangency" in checks:
+        scans.append((theorems, "tangency", "tangency",
+                      partial(example36.tangency_scan, bundle)))
+    for block, key, name, scan in scans:
         t0 = time.perf_counter()
         try:
-            theorems["tangency"] = example36.tangency_scan(bundle)
+            block[key] = scan()
         except GeometryError as exc:
-            theorems["tangency"] = {"violation": str(exc)}
+            block[key] = {"violation": str(exc)}
             proved = False
-        timings["tangency"] = _ms_since(t0)
+        timings[name] = _ms_since(t0)
+    if "spectrum" in checks:
+        timings["spectrum"] = round(sum(timings[f"spectrum.{key}"]
+                                        for key in spectra), 3)
 
     out, ok = verify.run_checks(B, manifest, checks)
     out["timings_ms"].update(timings)

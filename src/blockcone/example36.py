@@ -438,7 +438,8 @@ def family_ranks(model: BCModel) -> tuple[np.ndarray, np.ndarray]:
 def member_ranks(x_ranks: np.ndarray, k) -> np.ndarray:
     """Dual ranks of the k-th family members (0-based, in rank order), i.e.
     of the k-th ranks missing from the sorted x_ranks: x_ranks[j] - j ranks
-    of the family lie below x_ranks[j]."""
+    of the family lie below x_ranks[j].  Any sorted list of excluded ranks
+    may stand for x_ranks."""
     k = np.asarray(k, dtype=np.int64)
     return k + np.searchsorted(x_ranks - np.arange(x_ranks.size), k,
                                side="right")
@@ -528,13 +529,8 @@ class FamilyScanner:
             acc += self.membership(u)
         return acc
 
-    def s7_subspace(self, position: int) -> Subspace:
-        blow = self.model.hyperplane_blowup(self.duals[position])
-        return span([blow, self.model.vertex_p])
 
-
-def spectrum_scan(bundle: Bundle, target: str,
-                  structural_sample: int = 100) -> dict:
+def spectrum_scan(bundle: Bundle, target: str) -> dict:
     """Intersection spectrum of Bbar or Btilde over the family of the
     hyperplanes H of Pi_3 missing X; any value outside the proved spectra
     aborts with the offending dual point.
@@ -575,53 +571,58 @@ def spectrum_scan(bundle: Bundle, target: str,
         if not set(np.flatnonzero(hist - ht).tolist()) <= {1, 2, 3, q * q}:
             raise GeometryError("off-X'-family spectrum violation")
         result["ht_histogram"] = _as_dict(ht)
-    if structural_sample:
-        result["structural"] = _structural_checks(
-            bundle, x_ranks, xp_members, structural_sample)
     return result
 
 
-def _structural_checks(bundle: Bundle, x_ranks: np.ndarray,
-                       xp_members: np.ndarray, sample: int) -> dict:
+# members per side of the X'-subfamily in `structural_checks`' sample
+_STRUCTURAL_HALF = 50
+
+
+def structural_checks(bundle: Bundle) -> dict:
     """Sampled dimension facts: S7 cap <Bbar> is a line off Sigma (through t
     on the X'-subfamily, and then contained in <t, r, s> whenever real), and
-    S7 cap <Btilde> is a line off Sigma outside that subfamily."""
+    S7 cap <Btilde> is a line off Sigma outside that subfamily.  The sample
+    is 50 members of the X'-subfamily and 50 of the rest of the family, so
+    that every clause runs: a uniform sample of 100 holds about one
+    X'-member at q = 3."""
     fr = bundle.frame
     model = fr.model
     sp = model.sigma_prime
+    x_ranks, xp_members = family_ranks(model)
     rng = np.random.default_rng(0)
     S3 = span([fr.pi, fr.r_pt])
     cone_v = cone(span_in(sp, [fr.r_pt]), fr.V)
     trs = span_in(sp, [fr.t, fr.r_pt, fr.s_pt])
     btilde_span = span([model.Xprime, fr.h])
-    family_size = model.pi_space.n_points - x_ranks.size
-    idx = rng.choice(family_size, size=min(sample, family_size),
-                     replace=False)
-    ranks = member_ranks(x_ranks, idx)
-    n_ht = n_off = n_real_t = 0
-    for rank, in_ht in zip(ranks, verify.in_sorted(xp_members, ranks)):
+    # the members off the X'-subfamily are the ranks missing from both
+    # (disjoint) lists
+    xp = rng.choice(xp_members, size=_STRUCTURAL_HALF, replace=False)
+    rest = np.sort(np.concatenate([x_ranks, xp_members]))
+    off = member_ranks(rest, rng.choice(model.pi_space.n_points - rest.size,
+                                        size=_STRUCTURAL_HALF, replace=False))
+    ranks = np.concatenate([xp, off])
+    n_real_t = 0
+    for i, rank in enumerate(ranks):
         dual = pg.unrank(model.pi_space, int(rank))
         S7 = span([model.hyperplane_blowup(dual), model.vertex_p])
         line = meet(S7, S3)
         if line.dim != 1 or model.sigma.contains_sub(line):
             raise GeometryError("S7 cap <Bbar-solid> is not a line off Sigma")
-        if in_ht:
-            n_ht += 1
+        if i < xp.size:
             if not line.contains(fr.t):
                 raise GeometryError("X'-subfamily meet line misses t")
             kind, _ = line_class(line, cone_v, fr.q, vertex=fr.r_pt)
-            if kind == "real" and line.contains(fr.t):
+            if kind == "real":
                 if not trs.contains_sub(line):
                     raise GeometryError(
                         "real meet line through t escapes <t, r, s>")
                 n_real_t += 1
         else:
-            n_off += 1
             tline = meet(S7, btilde_span)
             if tline.dim != 1 or model.sigma.contains_sub(tline):
                 raise GeometryError(
                     "S7 cap <Btilde> is not a line off Sigma")
-    return {"sampled": int(len(idx)), "ht": n_ht, "off": n_off,
+    return {"sampled": ranks.size, "ht": xp.size, "off": off.size,
             "real_through_t": n_real_t}
 
 

@@ -58,7 +58,7 @@ class MPSFrame:
         if meet(self.gamma, m.X) != self.theta or self.theta.dim != m.n - s - 2:
             raise GeometryError("Theta must be Gamma cap X of dimension n-s-2")
 
-    # constants of `mps_build`, computed once per frame
+    # constants of `mps_build` and the family scans, computed once per frame
 
     @cached_property
     def theta_ranks(self) -> np.ndarray:
@@ -71,6 +71,12 @@ class MPSFrame:
     @cached_property
     def omega_rows(self) -> np.ndarray:
         return _row_space(self.omega)
+
+    @cached_property
+    def family(self) -> tuple[np.ndarray, np.ndarray]:
+        """Member ranks (hyperplanes of Pi_r missing X) and their duals."""
+        ranks = pi_hyperplane_ranks_avoiding_x(self.model)
+        return ranks, pg.unrank_batch(self.model.pi_space, ranks)
 
     @cached_property
     def x_rank(self) -> int:
@@ -238,11 +244,9 @@ def _family_table(frame: MPSFrame,
     point lies on the f-th member iff one of its cone images lies on the
     f-th hyperplane."""
     model = frame.model
-    sp = model.pi_space
-    ranks = pi_hyperplane_ranks_avoiding_x(model)
-    duals = pg.unrank_batch(sp, ranks)
+    ranks, duals = frame.family
     pts = cone_image_vecs(model, frame.omega_rows, aff)
-    on = pg.dot(sp, pts[:, None, :], duals[None, :, :]) == 0
+    on = pg.dot(model.pi_space, pts[:, None, :], duals[None, :, :]) == 0
     return ranks, on.reshape(len(aff), len(frame.omega_rows),
                              len(ranks)).any(axis=1)
 

@@ -79,8 +79,43 @@ def test_verify_spectrum_check(bundle_path, tmp_path):
               "--report", str(report)])
     assert rc == 0
     data = json.loads(report.read_text())
-    assert set(data["spectra"]) == {"bbar", "btilde"}
-    assert "spectrum" in data["timings_ms"]
+    assert set(data["spectra"]) == {"bbar", "btilde", "structural"}
+    assert "structural" not in data["spectra"]["bbar"]
+    assert "structural" not in data["spectra"]["btilde"]
+    assert {"spectrum", "spectrum.structural"} <= set(data["timings_ms"])
+
+
+def test_verify_spectrum_runs_structural_checks_once(bundle_path, tmp_path,
+                                                     monkeypatch):
+    # the sampled S7 facts do not depend on the part, so one verify samples
+    # its 100 members once: one blow-up per member
+    calls = []
+    real = example36.BCModel.hyperplane_blowup
+
+    def counted(self, dual):
+        calls.append(1)
+        return real(self, dual)
+
+    monkeypatch.setattr(example36.BCModel, "hyperplane_blowup", counted)
+    assert run(["verify", "--bundle", str(bundle_path), "--checks", "spectrum",
+                "--report", str(tmp_path / "once.json")]) == 0
+    assert len(calls) == 100
+
+
+def test_verify_structural_violation_fails(bundle_path, tmp_path,
+                                           monkeypatch):
+    def broken(bundle):
+        raise example36.GeometryError("S7 cap <Btilde> is not a line off Sigma")
+
+    monkeypatch.setattr(example36, "structural_checks", broken)
+    report = tmp_path / "st.json"
+    assert run(["verify", "--bundle", str(bundle_path), "--checks", "spectrum",
+                "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["verified"] is False
+    assert "not a line" in data["spectra"]["structural"]["violation"]
+    assert set(map(int, data["spectra"]["bbar"]["histogram"])) <= {0, 1, 2, 3}
+    assert set(map(int, data["spectra"]["btilde"]["ht_histogram"])) <= {0, 37}
 
 
 def test_verify_tangency_check(bundle_path, tmp_path, monkeypatch):
@@ -187,7 +222,7 @@ def test_verify_missing_bundle_is_usage_error(tmp_path):
 
 def test_spectrum_command(bundle_path, tmp_path):
     # `verify --checks spectrum` is the one spectrum entry point, with 100
-    # sampled structural checks per part
+    # sampled structural checks once for both parts
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--bundle", str(bundle_path), "--target", "btilde"])
     assert exc.value.code == 2
@@ -197,8 +232,7 @@ def test_spectrum_command(bundle_path, tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())["spectra"]
     assert set(map(int, data["btilde"]["ht_histogram"])) <= {0, 37}
-    assert data["bbar"]["structural"]["sampled"] == 100
-    assert data["btilde"]["structural"]["sampled"] == 100
+    assert data["structural"]["sampled"] == 100
 
 
 def test_tangency_wrong_side_fails(bundle_path, tmp_path, monkeypatch):

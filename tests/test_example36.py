@@ -218,13 +218,21 @@ def test_b_contains_x_point(bundle):
 
 
 def test_bbar_spectrum(bundle):
-    res = ex.spectrum_scan(bundle, "bbar", structural_sample=100)
+    res = ex.spectrum_scan(bundle, "bbar")
     assert set(map(int, res["histogram"])) <= {0, 1, 2, 3}
-    assert res["structural"]["sampled"] == 100
+
+
+def test_structural_checks_exercise_every_clause(bundle):
+    # half the sample lies in the X'-subfamily, so the clause on real meet
+    # lines through t runs too
+    res = ex.structural_checks(bundle)
+    assert res["sampled"] == 100
+    assert res["ht"] >= 1 and res["off"] >= 1
+    assert res["real_through_t"] >= 1
 
 
 def test_btilde_spectrum_and_dichotomy(bundle):
-    res = ex.spectrum_scan(bundle, "btilde", structural_sample=100)
+    res = ex.spectrum_scan(bundle, "btilde")
     assert set(map(int, res["histogram"])) <= {0, 1, 2, 3, 4, 37}
     assert set(map(int, res["ht_histogram"])) <= {0, 37}
     # the X'-subfamily has q^8 members
@@ -242,7 +250,8 @@ def test_family_scanner_against_subspace_membership(bundle):
         u = pg.unrank(frame.model.sigma_prime, int(rank))
         memb = sc.membership(u)
         for i in pos:
-            S7 = sc.s7_subspace(int(i))
+            S7 = span([frame.model.hyperplane_blowup(sc.duals[i]),
+                       frame.model.vertex_p])
             assert bool(memb[i]) == S7.contains(u)
 
 
@@ -305,7 +314,7 @@ def test_image_counts_match_family_scanner(bundles_q2, oracles_q2):
 def test_scans_match_family_scanner(bundles_q2, oracles_q2):
     for b, (sc, counts, witnesses) in zip(bundles_q2, oracles_q2):
         for target in ("bbar", "btilde"):
-            res = ex.spectrum_scan(b, target, structural_sample=0)
+            res = ex.spectrum_scan(b, target)
             assert res["histogram"] == _histogram(counts[target])
         assert res["ht_histogram"] == _histogram(
             counts["btilde"][sc.ht_mask])
@@ -327,7 +336,7 @@ def test_spectrum_violation_names_least_bad_member(bundle, oracles_q2):
     with pytest.raises(GeometryError, match=rf"\| = {union[i]} at dual "
                        rf"{re.escape(str(sc.duals[i].tolist()))} "
                        rf"\(rank {sc.ranks[i]}\)"):
-        ex.spectrum_scan(broken, "bbar", structural_sample=0)
+        ex.spectrum_scan(broken, "bbar")
 
 
 def test_first_bad_member_skips_cells_through_x():
@@ -357,19 +366,22 @@ def test_q3_spectrum_theorems():
     q = 3
     bundle = ex.example_build(q, 0)
     bt = len(bundle.frame.btilde)
-    rb = ex.spectrum_scan(bundle, "bbar", structural_sample=10)
-    rt = ex.spectrum_scan(bundle, "btilde", structural_sample=10)
+    rb = ex.spectrum_scan(bundle, "bbar")
+    rt = ex.spectrum_scan(bundle, "btilde")
     for res, allowed, image in ((rb, {0, 1, q, q + 1}, q**6),
                                 (rt, {0, 1, 2, 3, q * q, bt}, bt * q * q)):
         hist = res["histogram"]
         assert set(hist) <= allowed
         assert sum(hist.values()) == q**18
         assert sum(v * c for v, c in hist.items()) == image * q**12
-        assert res["structural"]["sampled"] == 10
     assert sum(v * c for v, c in rb["histogram"].items()) == 387_420_489
     assert sum(v * c for v, c in rt["histogram"].items()) == 1_037_904_273
     assert set(rt["ht_histogram"]) <= {0, bt}
     assert sum(rt["ht_histogram"].values()) == q**12
+    # the structural sample reaches every clause at q = 3 too
+    st = ex.structural_checks(bundle)
+    assert st["sampled"] == 100
+    assert st["ht"] >= 1 and st["real_through_t"] >= 1
 
 
 def test_tangency_witnesses(bundle):
