@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,16 @@ class Example36Frame:
     @property
     def theta(self) -> Subspace:
         return self.mps.theta
+
+    @cached_property
+    def family_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """`family_ranks` of the model, computed once per frame and
+        read-only: the spectra, the structural checks and tangency all read
+        it."""
+        ranks = family_ranks(self.model)
+        for r in ranks:
+            r.setflags(write=False)
+        return ranks
 
 
 @dataclass(eq=False)
@@ -264,9 +275,9 @@ def _bbar_build(model: BCModel, r_pt, V: PointSet, L: Subspace, s_pt,
                 theta: Subspace) -> PointSet:
     sp = model.sigma_prime
     q4 = model.q1 ** 2
-    base_ranks = np.setdiff1d(V.ranks, L.point_ranks())
-    base_ranks = np.union1d(base_ranks, [pg.rank_of(sp, s_pt)])
-    base = PointSet(sp, base_ranks)
+    base = PointSet(sp, np.append(
+        np.setdiff1d(V.ranks, L.point_ranks(), assume_unique=True),
+        pg.rank_of(sp, s_pt)))
     bbar = cone(span_in(sp, [r_pt]), base)
     vecs = bbar.vecs()
     aff = int(np.sum(vecs[:, -1] != 0))
@@ -554,7 +565,7 @@ def spectrum_scan(bundle: Bundle, target: str) -> dict:
         raise GeometryError("target must be 'bbar' or 'btilde'")
     model = fr.model
     counts = verify.blocking_check(cone_image(model, ps)).counts
-    x_ranks, xp_members = family_ranks(model)
+    x_ranks, xp_members = fr.family_ranks
     hist = _family_histogram(counts, x_ranks)
     bad = set(np.flatnonzero(hist).tolist()) - allowed
     if bad:
@@ -588,7 +599,7 @@ def structural_checks(bundle: Bundle) -> dict:
     fr = bundle.frame
     model = fr.model
     sp = model.sigma_prime
-    x_ranks, xp_members = family_ranks(model)
+    x_ranks, xp_members = fr.family_ranks
     rng = np.random.default_rng(0)
     S3 = span([fr.pi, fr.r_pt])
     cone_v = cone(span_in(sp, [fr.r_pt]), fr.V)
@@ -655,7 +666,7 @@ def tangency_scan(bundle: Bundle) -> dict:
     if missing.size:
         raise GeometryError(
             f"points without tangent witness: {missing.tolist()}")
-    _, xp_members = family_ranks(model)
+    _, xp_members = fr.family_ranks
     in_bbar = verify.in_sorted(fr.bbar.ranks, points)
     in_family = verify.in_sorted(xp_members, best)
     wrong = np.flatnonzero(in_family != in_bbar)

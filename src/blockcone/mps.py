@@ -147,7 +147,8 @@ def pi_hyperplane_ranks_avoiding_x(model: BCModel) -> np.ndarray:
     sp = model.pi_space
     xvec = model.spread_to_pg_vec(model.x_index)
     through = pg.hyperplanes_through(sp, xvec)
-    return np.setdiff1d(np.arange(sp.n_points, dtype=np.int64), through)
+    return np.setdiff1d(np.arange(sp.n_points, dtype=np.int64), through,
+                        assume_unique=True)
 
 
 def _row_space(vertex: Subspace) -> np.ndarray:
@@ -283,7 +284,7 @@ def f_search_minimal(frame: MPSFrame, max_size: int) -> list[dict]:
         raise GeometryError("Gamma' too large for exhaustive search")
     theta_ranks = frame.theta_ranks
     sigma_part = meet(gp, frame.model.sigma).point_ranks()
-    affine = np.setdiff1d(gp.point_ranks(), sigma_part)
+    affine = np.setdiff1d(gp.point_ranks(), sigma_part, assume_unique=True)
     members, masks = _family_masks(frame, pg.unrank_batch(gp.space, affine))
     covers = _minimal_covers(masks, (1 << len(members)) - 1,
                              max_size - len(theta_ranks))

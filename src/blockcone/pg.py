@@ -64,6 +64,12 @@ class ProjSpace:
         return np.array([(q ** (m - j) - 1) // (q - 1) for j in range(m + 1)],
                         dtype=np.int64)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """weights[i] = q^(m-i): the coordinates of a canonical vector after
+        its pivot j are the base-q digits of its rank minus thresh[j]."""
+        return self.q ** np.arange(self.m, -1, -1, dtype=np.int64)
+
     def __repr__(self):
         return f"PG({self.m},{self.q})"
 
@@ -96,14 +102,12 @@ def rank_of(space: ProjSpace, vec) -> int:
 
 
 def rank_batch(space: ProjSpace, vecs: np.ndarray) -> np.ndarray:
-    """Ranks of canonical vectors, lexicographic by coordinate encodings."""
+    """Ranks of canonical vectors, lexicographic by coordinate encodings:
+    thresh[pivot] plus the coordinates after the pivot read in base q, which
+    is v . weights less the pivot's own weight, as v_pivot = 1."""
     v = np.asarray(vecs, dtype=np.int64)
-    m, q = space.m, space.q
     piv = np.argmax(v != 0, axis=1)
-    w = q ** np.arange(m, -1, -1, dtype=np.int64)  # weight q^(m-i)
-    idx = np.arange(m + 1)
-    val = ((v * w[None, :]) * (idx[None, :] > piv[:, None])).sum(axis=1)
-    return space.thresh[piv] + val
+    return (space.thresh - space.weights)[piv] + v @ space.weights
 
 
 def unrank(space: ProjSpace, i: int) -> np.ndarray:
@@ -115,16 +119,13 @@ def unrank_batch(space: ProjSpace, ranks: np.ndarray) -> np.ndarray:
     m, q = space.m, space.q
     if r.size and (r.min() < 0 or r.max() >= space.n_points):
         raise GeometryError("rank out of range")
-    # thresh is decreasing in j; pivot = largest j with thresh[j] <= rank
+    # thresh is decreasing in j; pivot = largest j with thresh[j] <= rank.
+    # rank - thresh[pivot] < q^(m-pivot), so its base-q digits vanish at and
+    # before the pivot
     piv = (m + 1) - np.searchsorted(space.thresh[::-1], r, side="right")
-    rest = r - space.thresh[piv]
-    out = np.zeros((len(r), m + 1), dtype=np.int64)
+    out = (r - space.thresh[piv])[:, None] // space.weights
+    out %= q
     out[np.arange(len(r)), piv] = 1
-    for i in range(m, 0, -1):
-        digit = rest % q
-        rest = rest // q
-        sel = piv < i
-        out[sel, i] = digit[sel]
     return out
 
 
@@ -388,7 +389,12 @@ class PointSet:
     ranks: np.ndarray = dc_field(compare=False)
 
     def __post_init__(self):
-        r = np.unique(np.asarray(self.ranks, dtype=np.int64))
+        # sorted and deduplicated without np.unique, whose first call in a
+        # process imports numpy.ma (10-30 ms per process)
+        r = np.sort(np.asarray(self.ranks, dtype=np.int64), axis=None)
+        fresh = np.ones(r.size, dtype=bool)
+        np.not_equal(r[1:], r[:-1], out=fresh[1:])
+        r = r[fresh]
         if r.size and (r[0] < 0 or r[-1] >= self.space.n_points):
             raise GeometryError("point rank out of range")
         r.setflags(write=False)
@@ -416,16 +422,26 @@ class PointSet:
         return cls(space, rank_batch(space, normalize_batch(space, vecs)))
 
     def vecs(self) -> np.ndarray:
-        return unrank_batch(self.space, self.ranks)
+        """The canonical vectors of the points in rank order, unranked once
+        per set and read-only."""
+        return self._vecs
+
+    @cached_property
+    def _vecs(self) -> np.ndarray:
+        v = unrank_batch(self.space, self.ranks)
+        v.setflags(write=False)
+        return v
 
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet(self.space, np.concatenate([self.ranks, other.ranks]))
 
     def minus(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, np.setdiff1d(self.ranks, other.ranks))
+        return PointSet(self.space, np.setdiff1d(self.ranks, other.ranks,
+                                                 assume_unique=True))
 
     def intersect(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, np.intersect1d(self.ranks, other.ranks))
+        return PointSet(self.space, np.intersect1d(self.ranks, other.ranks,
+                                                   assume_unique=True))
 
 
 def _is_int(x) -> bool:
@@ -483,7 +499,6 @@ def load_point_set(path) -> PointSet:
     if not np.array_equal(canon, raw):
         warnings.warn(f"{path}: points were not canonical; re-normalized")
     ranks = rank_batch(space, canon)
-    if len(np.unique(ranks)) != len(ranks) or not np.array_equal(
-            ranks, np.sort(ranks)):
+    if np.any(np.diff(ranks) <= 0):
         warnings.warn(f"{path}: points were not sorted/deduplicated; fixed")
     return PointSet(space, ranks)

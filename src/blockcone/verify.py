@@ -2,7 +2,9 @@
 
 Blocking and minimality are incidence counts over all hyperplanes, and both
 run on one kernel, `_Tiles` (the example's tangency witnesses are the
-minimality witnesses of a cone image, `example36.tangency_scan`).  It walks
+minimality witnesses of a cone image, `example36.tangency_scan`).  A set's
+`_Tiles` is built once: `blocking_check` keeps it on the `CoverageResult`,
+and `minimality_check` walks the tangents on that same object.  It walks
 the hyperplane ranks of PG(m, q) in increasing order, tile by tile, and meets
 all points with a tile at once:
 
@@ -45,7 +47,8 @@ _SAT = 255
 _UNCOVERED_SAMPLE = 32
 _SCAN_CHUNK = 1 << 20
 # cells gathered per batch of tiles; one tile's q^2 cells against up to four
-# times as many gathered cells are always allowed
+# times as many gathered cells are always allowed.  Also the pairs per block
+# of `triviality_check`.
 _BATCH = 1 << 16
 _HEARTBEAT_S = 5.0
 
@@ -59,6 +62,7 @@ class CoverageResult:
     uncovered_sample: list[int]
     checksum: int
     elapsed_ms: float
+    tiles: "_Tiles"  # the set's tile set-up, walked again by minimality
 
     @property
     def blocking(self) -> bool:
@@ -101,12 +105,11 @@ def _first(cells: np.ndarray, hit: np.ndarray) -> np.ndarray:
 
 class _Tiles:
     """The incidences of a list of points with the hyperplanes of their
-    space, tile by tile as the module docstring describes.  `what` names the
-    pass in the stderr heartbeat."""
+    space, tile by tile as the module docstring describes."""
 
-    def __init__(self, space: ProjSpace, vecs, what: str):
+    def __init__(self, space: ProjSpace, vecs):
         f, m, Q = space.field, space.m, space.q
-        self.space, self.what = space, what
+        self.space = space
         v = np.asarray(vecs, dtype=np.int64).reshape(-1, m + 1)
         last = m - np.argmax(v[:, ::-1] != 0, axis=1)
         scale = f.neg_table[f.inv_table[v[np.arange(len(v)), last]]]
@@ -128,10 +131,10 @@ class _Tiles:
         self.chunk = max(1, cap // Q)  # diagonal points per gather
         self.tiles = max(1, cap // (Q * max(min(len(v), self.chunk), Q)))
 
-    def _batches(self):
+    def _batches(self, what: str):
         """(first rank, pivot j, first tile, tiles) per batch of the tiles
         of the pivots j <= m - 2, in rank order, with a heartbeat on stderr
-        every few seconds."""
+        every few seconds that names the pass `what`."""
         m, Q = self.space.m, self.space.q
         total = (Q ** (m - 1) - 1) // (Q - 1)
         start = beat = time.perf_counter()
@@ -147,7 +150,7 @@ class _Tiles:
                     beat = now
                     rate = done / (now - start)
                     sys.stderr.write(
-                        f"{self.what} over {self.space}: {done}/{total} "
+                        f"{what} over {self.space}: {done}/{total} "
                         f"tiles, {rate * Q * Q:.3g} cells/s, "
                         f"ETA {(total - done) / rate:.0f} s\n")
 
@@ -189,7 +192,7 @@ class _Tiles:
         """(first rank, int64 counts) per tile batch, the low tile first."""
         Q = self.space.q
         yield 0, np.bincount(self.low, minlength=Q + 1) + self.whole.size
-        for lo, j, t0, k in self._batches():
+        for lo, j, t0, k in self._batches("blocking"):
             cnt = self._diag_counts(0, j, t0, k)
             for a in range(self.chunk, self.diag.size, self.chunk):
                 cnt += self._diag_counts(a, j, t0, k)
@@ -217,7 +220,7 @@ class _Tiles:
         best[self.whole] = one[0] if one.size else -1
         diag_pos = np.zeros(P, dtype=np.int64)
         diag_pos[self.diag] = np.arange(self.diag.size)
-        for lo, j, t0, k in self._batches():
+        for lo, j, t0, k in self._batches("minimality"):
             open_ = best < 0
             if not open_.any():
                 break
@@ -256,7 +259,8 @@ def blocking_check(ps: PointSet) -> CoverageResult:
     space = ps.space
     pg.check_budget(space.n_points, f"a hyperplane counter over {space}")
     counts = np.zeros(space.n_points, dtype=np.uint8)
-    for lo, cnt in _Tiles(space, ps.vecs(), "blocking").counts():
+    tiles = _Tiles(space, ps.vecs())
+    for lo, cnt in tiles.counts():
         np.minimum(cnt, _SAT, out=counts[lo:lo + cnt.size], casting="unsafe")
     uncovered_total = counts.size - int(np.count_nonzero(counts))
     return CoverageResult(
@@ -268,16 +272,18 @@ def blocking_check(ps: PointSet) -> CoverageResult:
                                                   _UNCOVERED_SAMPLE)),
         checksum=_checksum(ps),
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
+        tiles=tiles,
     )
 
 
 def minimality_check(ps: PointSet, coverage: CoverageResult) -> MinimalityResult:
     """A point is essential iff some hyperplane through it has counter exactly
-    1; the least such hyperplane is its tangent witness."""
+    1; the least such hyperplane is its tangent witness.  The tangents are
+    walked on the `_Tiles` that `blocking_check` built for ps."""
     if coverage.checksum != _checksum(ps):
         raise ValueError("coverage array does not belong to this point set")
     t0 = time.perf_counter()
-    best = _Tiles(ps.space, ps.vecs(), "minimality").tangents(coverage.counts)
+    best = coverage.tiles.tangents(coverage.counts)
     essential = [(int(r), int(w)) for r, w in zip(ps.ranks, best) if w >= 0]
     inessential = [int(r) for r, w in zip(ps.ranks, best) if w < 0]
     return MinimalityResult(essential, inessential,
@@ -303,22 +309,30 @@ def naive_coverage(ps: PointSet) -> np.ndarray:
 def triviality_check(ps: PointSet) -> bool:
     """True iff the set contains a full line.  Any contained line is spanned
     by two of its points v_i, v_j, and its other points are v_i + l.v_j for
-    the q - 1 nonzero l, so the pair scan is exact.  For each i the pairs
-    (i, j > i) are tested one l at a time in a batch, keeping only the j whose
-    points so far all lie in the set."""
+    the q - 1 nonzero l, so the pair scan is exact.  The pairs (i, j > i) are
+    taken in order, in blocks of at most `_BATCH`; a block is tested one l at
+    a time, keeping only the pairs whose points so far all lie in the set,
+    and the scan stops at the first block with a surviving pair."""
     space = ps.space
-    if len(ps) < space.q + 1:
+    n = len(ps)
+    if n < space.q + 1:
         return False
     f = space.field
     vecs = ps.vecs()
-    for i in range(len(vecs) - 1):
-        others = vecs[i + 1:]
+    # pair (i, j) has index first[i] + j - i - 1 in the order of all pairs
+    rows = np.arange(n - 1)
+    first = rows * (n - 1) - rows * (rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    for lo in range(0, pairs, _BATCH):
+        k = np.arange(lo, min(lo + _BATCH, pairs))
+        i = np.searchsorted(first, k, side="right") - 1
+        j = k - first[i] + i + 1
         for lam in range(1, space.q):
-            pts = f.add_table[vecs[i], f.mul_table[lam, others]]
+            pts = f.add_table[vecs[i], f.mul_table[lam, vecs[j]]]
             keep = in_sorted(ps.ranks, pg.rank_batch(
                 space, pg.normalize_batch(space, pts)))
-            others = others[keep]
-            if not len(others):
+            i, j = i[keep], j[keep]
+            if not i.size:
                 break
         else:
             return True

@@ -102,6 +102,23 @@ def test_verify_spectrum_runs_structural_checks_once(bundle_path, tmp_path,
     assert len(calls) == 100
 
 
+def test_verify_computes_family_ranks_once(bundle_path, tmp_path,
+                                           monkeypatch):
+    # the X-ranks and the X'-subfamily depend only on the model: the two
+    # spectra, the structural checks and tangency share one computation
+    calls = []
+    real = example36.family_ranks
+
+    def counted(model):
+        calls.append(1)
+        return real(model)
+
+    monkeypatch.setattr(example36, "family_ranks", counted)
+    assert run(["verify", "--bundle", str(bundle_path), "--checks",
+                "spectrum,tangency", "--report", str(tmp_path / "f.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_structural_violation_fails(bundle_path, tmp_path,
                                            monkeypatch):
     def broken(bundle):

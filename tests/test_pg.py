@@ -220,6 +220,18 @@ def test_pointset_set_algebra():
     assert PointSet.from_vecs(sp, A.vecs()) == A
 
 
+def test_pointset_dedup_and_vecs_unranked_once():
+    sp = _space(3, 2, 2)
+    raw = np.random.default_rng(6).integers(0, sp.n_points, size=60)
+    for ranks in (raw, raw[:1], raw[:0]):
+        ps = PointSet(sp, ranks)
+        assert np.array_equal(ps.ranks, np.unique(ranks))
+        assert not ps.ranks.flags.writeable
+        v = ps.vecs()
+        assert ps.vecs() is v and not v.flags.writeable
+        assert np.array_equal(v, pg.unrank_batch(sp, ps.ranks))
+
+
 def test_pointset_file_roundtrip(tmp_path):
     sp = _space(3, 2, 2)
     ps = PointSet(sp, np.array([0, 9, 44, 80]))

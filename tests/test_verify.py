@@ -1,5 +1,7 @@
 """Certification engine against the naive double-loop oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,6 +138,26 @@ def test_minimality_rejects_foreign_coverage():
         verify.minimality_check(PointSet(sp, np.array([0, 5, 9])), cov)
 
 
+def test_blocking_and_minimality_share_one_tile_setup(monkeypatch):
+    sp = _space(3, 3, 1)
+    ps = PointSet(sp, np.random.default_rng(5).integers(0, sp.n_points,
+                                                        size=8))
+    built = []
+
+    class Counted(verify._Tiles):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify, "_Tiles", Counted)
+    cov = verify.blocking_check(ps)
+    assert verify.minimality_check(ps, cov).essential
+    assert len(built) == 1
+    with pytest.raises(ValueError):
+        verify.minimality_check(PointSet(sp, ps.ranks[1:]), cov)
+    assert len(built) == 1
+
+
 def test_triviality_detects_contained_line():
     sp = _space(3, 2, 1)
     line = _line_set(sp)
@@ -148,7 +170,7 @@ def test_triviality_detects_contained_line():
 
 
 @pytest.mark.parametrize("m,p,k", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
-def test_triviality_matches_line_enumeration(m, p, k):
+def test_triviality_matches_line_enumeration(m, p, k, monkeypatch):
     sp = _space(m, p, k)
     lines = set()
     for a in range(sp.n_points):
@@ -157,6 +179,7 @@ def test_triviality_matches_line_enumeration(m, p, k):
             lines.add(frozenset(int(r) for r in L.point_ranks()))
     rng = np.random.default_rng(4)
     seen = set()
+    cases = []
     for _ in range(150):
         size = int(rng.integers(1, sp.n_points))
         ps = PointSet(sp, rng.choice(sp.n_points, size=size, replace=False))
@@ -164,7 +187,21 @@ def test_triviality_matches_line_enumeration(m, p, k):
         expect = any(line <= members for line in lines)
         assert verify.triviality_check(ps) == expect
         seen.add(expect)
+        cases.append((ps, expect))
     assert seen == {True, False}
+    # a set holding one line L and three points between L's two least
+    # points a < b: the first pair of L, (a, b) = (0, 4), has pair index 3,
+    # so with blocks of 3 pairs row 0 is split and L shows only in block 2
+    split = next(
+        members for line in sorted(map(sorted, lines))
+        for extra in itertools.combinations(range(line[0] + 1, line[1]), 3)
+        for members in [set(line) | set(extra)]
+        if [L for L in lines if L <= members] == [frozenset(line)])
+    cases.append((PointSet(sp, np.array(sorted(split))), True))
+    for batch in (1, 3):
+        monkeypatch.setattr(verify, "_BATCH", batch)
+        for ps, expect in cases:
+            assert verify.triviality_check(ps) == expect
 
 
 def test_planarity():
@@ -263,7 +300,7 @@ def test_tile_batches_are_invisible(m, p, k, size, monkeypatch):
     base = verify.blocking_check(ps)
     wit = verify.minimality_check(ps, base)
     monkeypatch.setattr(verify, "_BATCH", 1)
-    tiles = verify._Tiles(sp, ps.vecs(), "test")
+    tiles = verify._Tiles(sp, ps.vecs())
     assert tiles.tiles == 1 and tiles.chunk < len(tiles.diag)
     cov = verify.blocking_check(ps)
     assert np.array_equal(cov.counts, base.counts)
@@ -286,7 +323,7 @@ def test_tiles_recount_pg3_729():
     want = {0: Q + 1, Q + 1: Q * Q}
     want.update({int(sp.thresh[0]) + a * Q * Q: Q * Q for a in seeded})
     got = {}
-    for lo, cnt in verify._Tiles(sp, ps.vecs(), "test").counts():
+    for lo, cnt in verify._Tiles(sp, ps.vecs()).counts():
         for w, size in want.items():
             if lo <= w < lo + cnt.size:
                 got[w] = cnt[w - lo:w - lo + size]
