@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
 
 import numpy as np
 
@@ -146,36 +145,37 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     B, manifest, bundle = _load_any_bundle(args.bundle)
     timings["load"] = _ms_since(t0)
-    for check in ("spectrum", "tangency"):
-        if check in checks and bundle is None:
-            raise GeometryError(f"{check} check needs an example36 bundle")
+    asked = {"spectrum", "tangency"} & set(checks)
+    if asked and bundle is None:
+        raise GeometryError(f"{min(asked)} check needs an example36 bundle")
+    # B's one count: the theorems read it, as blocking and minimality do
+    coverage = bundle.coverage if asked else None
 
-    # (report block, key, timing name, scan); a GeometryError of a scan is
-    # reported as its violation and fails the verdict
-    theorems, proved, scans = {}, True, []
-    if "spectrum" in checks:
-        spectra = theorems["spectra"] = {}
-        scans += [(spectra, t, f"spectrum.{t}",
-                   partial(example36.spectrum_scan, bundle, t))
-                  for t in ("bbar", "btilde")]
-        scans.append((spectra, "structural", "spectrum.structural",
-                      partial(example36.structural_checks, bundle)))
-    if "tangency" in checks:
-        scans.append((theorems, "tangency", "tangency",
-                      partial(example36.tangency_scan, bundle)))
-    for block, key, name, scan in scans:
+    # a GeometryError of a theorem scan is reported as its violation and
+    # fails the verdict
+    theorems, proved = {}, True
+
+    def scan(name, fn):
+        nonlocal proved
         t0 = time.perf_counter()
         try:
-            block[key] = scan()
+            result = fn(bundle)
         except GeometryError as exc:
-            block[key] = {"violation": str(exc)}
-            proved = False
+            result, proved = {"violation": str(exc)}, False
         timings[name] = _ms_since(t0)
-    if "spectrum" in checks:
-        timings["spectrum"] = round(sum(timings[f"spectrum.{key}"]
-                                        for key in spectra), 3)
+        return result
 
-    out, ok = verify.run_checks(B, manifest, checks)
+    if "spectrum" in checks:
+        spectra = theorems["spectra"] = scan("spectrum.parts",
+                                             example36.spectrum_scan)
+        spectra["structural"] = scan("spectrum.structural",
+                                     example36.structural_checks)
+        timings["spectrum"] = round(timings["spectrum.parts"]
+                                    + timings["spectrum.structural"], 3)
+    if "tangency" in checks:
+        theorems["tangency"] = scan("tangency", example36.tangency_scan)
+
+    out, ok = verify.run_checks(B, manifest, checks, coverage)
     out["timings_ms"].update(timings)
     out.update(theorems)
     out["config"] = {"command": "verify", "bundle": args.bundle,

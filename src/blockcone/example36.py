@@ -74,6 +74,11 @@ class Bundle:
     frame: Example36Frame
     B: PointSet  # Pi_3 = PG(3, q^6) ranks
 
+    @cached_property
+    def coverage(self) -> verify.CoverageResult:
+        """B's one count: blocking, minimality and both theorems read it."""
+        return verify.blocking_check(self.B)
+
     def manifest(self) -> dict:
         fr = self.frame
         m = fr.model
@@ -409,10 +414,6 @@ def example_build(q: int, seed: int = 0) -> Bundle:
 # ---------------------------------------------------------------------------
 # the hyperplane family of Pi_3, counted on the cone's Pi-image
 
-# cells per bincount when a histogram is taken over the whole counter
-_HIST_CHUNK = 1 << 22
-
-
 def _image_ranks(model: BCModel, vecs: np.ndarray) -> np.ndarray:
     """Ranks of the Pi_r-images u + a.p, a in GF(q1), of the affine rows u of
     vecs: q1 consecutive ranks per u."""
@@ -456,28 +457,6 @@ def member_ranks(x_ranks: np.ndarray, k) -> np.ndarray:
                                side="right")
 
 
-def _family_histogram(counts: np.ndarray, x_ranks: np.ndarray) -> np.ndarray:
-    """Frequency of each counter value over the family: a bincount over the
-    whole counter in chunks, minus the cells through X."""
-    hist = -np.bincount(counts[x_ranks], minlength=256)
-    for lo in range(0, counts.size, _HIST_CHUNK):
-        hist += np.bincount(counts[lo:lo + _HIST_CHUNK], minlength=256)
-    return hist
-
-
-def _first_member_with(counts: np.ndarray, x_ranks: np.ndarray,
-                       values) -> int:
-    """Least family rank whose counter holds one of the values."""
-    lut = np.zeros(256, dtype=bool)
-    lut[list(values)] = True
-    for lo in range(0, counts.size, _HIST_CHUNK):
-        hits = lo + np.flatnonzero(lut[counts[lo:lo + _HIST_CHUNK]])
-        hits = hits[~verify.in_sorted(x_ranks, hits)]
-        if hits.size:
-            return int(hits[0])
-    raise AssertionError("no family member holds the values")
-
-
 def _as_dict(hist: np.ndarray) -> dict:
     return {v: int(c) for v, c in enumerate(hist) if c}
 
@@ -487,10 +466,10 @@ class FamilyScanner:
     Sigma'-point u lies in S7 = <blowup(H), p>.
 
     This is the definition-level S7 membership test, kept as the oracle that
-    the counts of `spectrum_scan` and `tangency_scan` are checked against on
-    small spaces.  With F(u) the big-field linear form of H evaluated on u's
-    coordinate blocks, u lies in S7 iff F(u) is a GF(q^2)-multiple of F(p),
-    F(p) never being zero because p sits on X which H misses."""
+    the Lemma 2 counts, which both scans read off B's count, are checked
+    against on small spaces.  With F(u) the big-field linear form of H on
+    u's coordinate blocks, u lies in S7 iff F(u) is a GF(q^2)-multiple of
+    F(p), F(p) never being zero because p sits on X which H misses."""
 
     def __init__(self, model: BCModel):
         self.model = model
@@ -541,48 +520,66 @@ class FamilyScanner:
         return acc
 
 
-def spectrum_scan(bundle: Bundle, target: str) -> dict:
-    """Intersection spectrum of Bbar or Btilde over the family of the
-    hyperplanes H of Pi_3 missing X; any value outside the proved spectra
-    aborts with the offending dual point.
+def _cone_count(bundle: Bundle) -> verify.CoverageResult:
+    """B's count, once B is checked to be K(p, Bbar u Btilde) u {X}: only
+    then does it count the parts' cone images on the members (Lemma 2)."""
+    fr = bundle.frame
+    if bundle.B != mps_build(fr.mps, fr.bbar.union(fr.btilde)):
+        raise GeometryError("B is not K(p, Bbar u Btilde) u {X} of the frame")
+    return bundle.coverage
+
+
+def spectrum_scan(bundle: Bundle) -> dict:
+    """Intersection spectra of Bbar and Btilde over the family of the
+    hyperplanes H of Pi_3 missing X, and Btilde's dichotomy on the
+    X'-subfamily.  The first tile batch (in rank order) with a value out of
+    a proved spectrum aborts the scan, naming its least member out of
+    Bbar's set, or else out of Btilde's.
 
     Lemma 2: for H missing X, |S_aff cap <blowup(H), p>| =
-    |K(p, S)_aff cap H|.  So the spectrum is the incidence count of the
-    cone's Pi-image (`cone_image`), taken over all hyperplanes by
-    `verify.blocking_check` and read on the family members only.  The
-    points of Theta in Bbar are dropped: S7 meets X only in p, and Theta =
-    Gamma cap X misses p, so they lie in no member's S7.  A member's count is
-    at most |S| (217 for Btilde at q = 3), below the counter's saturation at
-    255."""
+    |K(p, S)_aff cap H|, the count of S's cone image (`cone_image`, without
+    Bbar's points on Theta = Gamma cap X, which misses p, the one point of
+    X on any S7).  As B = image(Bbar) u image(Btilde) u {X} (`_cone_count`),
+    c_Btilde = c_B - c_Bbar on the members: one tile pass counts image(Bbar)
+    against B's count, which saturates at 255 only where c_Bbar >= 255 -
+    |Btilde| (38 at q = 3), out of Bbar's spectrum."""
     fr = bundle.frame
-    q = fr.q
-    if target == "bbar":
-        ps, allowed = fr.bbar, {0, 1, q, q + 1}
-    elif target == "btilde":
-        bt = len(fr.btilde)
-        ps, allowed = fr.btilde, {0, 1, 2, 3, q * q, bt}
-    else:
-        raise GeometryError("target must be 'bbar' or 'btilde'")
-    model = fr.model
-    counts = verify.blocking_check(cone_image(model, ps)).counts
+    q, bt = fr.q, len(fr.btilde)
+    counts = _cone_count(bundle).counts
     x_ranks, xp_members = fr.family_ranks
-    hist = _family_histogram(counts, x_ranks)
-    bad = set(np.flatnonzero(hist).tolist()) - allowed
-    if bad:
-        rank = _first_member_with(counts, x_ranks, bad)
-        dual = pg.unrank(model.pi_space, rank)
-        raise GeometryError(
-            f"spectrum violation: |S7 cap {target}| = {counts[rank]} at dual "
-            f"{dual.tolist()} (rank {rank})")
-    result = {"target": target, "histogram": _as_dict(hist)}
-    if target == "btilde":
-        ht = np.bincount(counts[xp_members], minlength=256)
-        if not set(np.flatnonzero(ht).tolist()) <= {0, len(fr.btilde)}:
-            raise GeometryError("dichotomy on the X'-family fails")
-        if not set(np.flatnonzero(hist - ht).tolist()) <= {1, 2, 3, q * q}:
-            raise GeometryError("off-X'-family spectrum violation")
-        result["ht_histogram"] = _as_dict(ht)
-    return result
+    spectra = {"bbar": {0, 1, q, q + 1}, "btilde": {0, 1, 2, 3, q * q, bt}}
+
+    def histogram(part, c, lo, x):  # x: the batch's cells through X
+        c[x] = 0
+        h = np.bincount(c, minlength=bt + 1)  # no allowed value exceeds bt
+        h[0] -= x.size
+        bad = set(np.flatnonzero(h).tolist()) - spectra[part]
+        if bad:
+            i = lo + int(np.argmax(np.isin(c, sorted(bad))))
+            raise GeometryError(
+                f"spectrum violation: |S7 cap {part}| = {c[i - lo]} at dual "
+                f"{pg.unrank(bundle.B.space, i).tolist()} (rank {i})")
+        return h
+
+    # the histograms of both parts, and of Btilde's on the X'-subfamily
+    hist = {k: np.zeros(bt + 1, dtype=np.int64) for k in (*spectra, "ht")}
+    image = cone_image(fr.model, fr.bbar)
+    for lo, c in verify._Tiles(image.space, image.vecs()).counts():
+        hi = lo + c.size
+        x, xp = (r[slice(*np.searchsorted(r, (lo, hi)))] - lo
+                 for r in (x_ranks, xp_members))
+        hist["bbar"] += histogram("bbar", c, lo, x)
+        np.subtract(counts[lo:hi], c, out=c)  # c_Btilde, in place
+        hist["btilde"] += histogram("btilde", c, lo, x)
+        hist["ht"] += np.bincount(c[xp], minlength=bt + 1)
+    bbar, btilde, ht = hist.values()
+    if not set(np.flatnonzero(ht).tolist()) <= {0, bt}:
+        raise GeometryError("dichotomy on the X'-family fails")
+    if not set(np.flatnonzero(btilde - ht).tolist()) <= {1, 2, 3, q * q}:
+        raise GeometryError("off-X'-family spectrum violation")
+    return {"bbar": {"target": "bbar", "histogram": _as_dict(bbar)},
+            "btilde": {"target": "btilde", "histogram": _as_dict(btilde),
+                       "ht_histogram": _as_dict(ht)}}
 
 
 # members per side of the X'-subfamily in `structural_checks`' sample
@@ -644,18 +641,18 @@ def tangency_scan(bundle: Bundle) -> dict:
 
     By Lemma 2 the members meeting the union exactly in u are the hyperplanes
     missing X through one of u's q1 cone-image points whose count over the
-    union's image is 1.  So the witnesses are the minimality witnesses of the
-    union's image, the least over u's q1 image points.  None passes through
-    X: the q1 image points of u lie on one line of Pi_3 through X, so a
-    hyperplane through X and one of them holds all q1.  The side is checked,
-    not searched for: Btilde counts 0 or |Btilde| on the X'-subfamily and at
-    least 1 off it, so every tangent lies on its part's side."""
+    union's image is 1.  As B = image u {X} (`_cone_count`), they are those
+    through such a point whose count in B is 1, B's minimality witnesses:
+    none passes through X, since u's q1 image points lie on one line through
+    X.  So u's witness is the least of its image points' witnesses in B.
+    The side is checked, not searched for: Btilde counts 0 or |Btilde| on
+    the X'-subfamily and at least 1 off it, so every tangent lies on its
+    part's side."""
     fr = bundle.frame
     model = fr.model
-    union = fr.bbar.union(fr.btilde)
-    image = cone_image(model, union)
     witness = dict(verify.minimality_check(
-        image, verify.blocking_check(image)).essential)
+        bundle.B, _cone_count(bundle)).essential)
+    union = fr.bbar.union(fr.btilde)
     none = model.pi_space.n_points  # above every rank
     vecs = union.vecs()
     points = union.ranks[vecs[:, -1] != 0]

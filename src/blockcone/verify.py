@@ -1,8 +1,8 @@
 """Exhaustive certification of blocking / minimality / triviality / planarity.
 
 Blocking and minimality are incidence counts over all hyperplanes, and both
-run on one kernel, `_Tiles` (the example's tangency witnesses are the
-minimality witnesses of a cone image, `example36.tangency_scan`).  A set's
+run on one kernel, `_Tiles` (the example's theorems read B's one count:
+`example36.spectrum_scan`, `example36.tangency_scan`).  A set's
 `_Tiles` is built once: `blocking_check` keeps it on the `CoverageResult`,
 and `minimality_check` walks the tangents on that same object.  It walks
 the hyperplane ranks of PG(m, q) in increasing order, tile by tile, and meets
@@ -354,24 +354,26 @@ def planarity_check(ps: PointSet) -> tuple[int, bool]:
     return S.dim, S.dim <= 2
 
 
-def run_checks(ps: PointSet, manifest: dict, checks) -> tuple[dict, bool]:
+def run_checks(ps: PointSet, manifest: dict, checks,
+               coverage: CoverageResult | None = None) -> tuple[dict, bool]:
     """The report of the named checks on ps, and its verdict: blocking,
     minimal, not trivial and, in a space of dimension > 2, not planar, as
-    far as those checks were asked for."""
+    far as those checks were asked for.  `coverage` is ps's count, if taken."""
     timings: dict = {}
     out = {"manifest": manifest, "space": repr(ps.space),
            "sizes": {"set": len(ps)}, "timings_ms": timings}
     ok = True
     if "blocking" in checks or "minimal" in checks:
-        coverage = blocking_check(ps)
+        coverage = coverage or blocking_check(ps)
         out["blocking"] = {
             "total": int(coverage.space.n_points),
             "uncovered": coverage.uncovered_sample,
             "uncovered_total": coverage.uncovered_total,
             "blocking": coverage.blocking,
         }
-        timings["blocking"] = round(coverage.elapsed_ms, 3)
         ok &= "blocking" not in checks or coverage.blocking
+    if coverage:
+        timings["blocking"] = round(coverage.elapsed_ms, 3)
     if "minimal" in checks:
         mres = minimality_check(ps, coverage)
         out["minimality"] = {

@@ -88,8 +88,8 @@ def test_criterion_04_q2_nonplanar_nontrivial():
 def test_criterion_05_spectrum_theorems():
     bundle = _bundle()
     try:
-        rb = ex.spectrum_scan(bundle, "bbar")
-        rt = ex.spectrum_scan(bundle, "btilde")
+        res = ex.spectrum_scan(bundle)
+        rb, rt = res["bbar"], res["btilde"]
         violation = None
     except Exception as exc:  # scan aborts on any out-of-set value
         violation = str(exc)

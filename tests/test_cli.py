@@ -119,6 +119,49 @@ def test_verify_computes_family_ranks_once(bundle_path, tmp_path,
     assert len(calls) == 1
 
 
+def test_verify_counts_b_once(bundle_path, tmp_path, monkeypatch):
+    # B's count serves blocking, minimality, the spectra and tangency; the
+    # only other tile set-up is the spectra's pass over image(Bbar)
+    built = []
+
+    class Counted(verify._Tiles):
+        def __init__(self, space, vecs):
+            built.append(len(vecs))
+            super().__init__(space, vecs)
+
+    monkeypatch.setattr(verify, "_Tiles", Counted)
+    assert run(["verify", "--bundle", str(bundle_path), "--checks",
+                "blocking,minimal,spectrum,tangency",
+                "--report", str(tmp_path / "once.json")]) == 0
+    assert built == [213, 64]  # |B|, then q1 x |Bbar \ Sigma|
+
+
+@pytest.mark.parametrize("checks", [
+    "blocking,minimal,trivial,planar,spectrum,tangency", "spectrum,tangency"])
+@pytest.mark.parametrize("other", ["seed 1", "one point dropped"])
+def test_verify_theorems_read_the_stored_b(bundle_path, tmp_path, checks,
+                                          other):
+    # the theorems hold for the frame's cone, so they must refuse a bundle
+    # whose B is another set: seed 1's B, a minimal blocking set of the same
+    # size in the same space, or the cone less one point
+    data = json.loads(bundle_path.read_text())
+    if other == "seed 1":
+        data["B"] = example36.bundle_to_dict(
+            example36.example_build(2, 1))["B"]
+        assert data["B"] != json.loads(bundle_path.read_text())["B"]
+    else:
+        data["B"] = data["B"][1:]
+    bad = tmp_path / "other_b.json"
+    bad.write_text(json.dumps(data))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "--bundle", str(bad), "--checks", checks,
+                "--report", str(report)]) == 1
+    rep = json.loads(report.read_text())
+    assert rep["verified"] is False
+    for key in ("spectra", "tangency"):
+        assert "K(p, Bbar u Btilde)" in rep[key]["violation"]
+
+
 def test_verify_structural_violation_fails(bundle_path, tmp_path,
                                            monkeypatch):
     def broken(bundle):
@@ -276,18 +319,15 @@ def test_tangency_wrong_side_fails(bundle_path, tmp_path, monkeypatch):
 
 
 def test_infeasible_family_scan_exits_2(monkeypatch, capsys, tmp_path):
-    # a q = 4 example lives in PG(3, 4096): counting its cone image asks for
-    # 6.9e10 hyperplane counters, so `verify --checks spectrum` stops before
-    # allocating them, with a usage error, not a spectrum violation
-    image = PointSet(ProjSpace(3, cached_field(2, 12)), np.array([0]))
-    stub = SimpleNamespace(frame=SimpleNamespace(q=4, model=None,
-                                                 bbar=image, btilde=image),
-                           B=image)
-    monkeypatch.setattr(cli, "_load_any_bundle",
-                        lambda path: (image, {}, stub))
-    monkeypatch.setattr(example36, "cone_image", lambda model, ps: ps)
+    # a q = 4 example lives in PG(3, 4096): the theorems read B's count,
+    # which asks for 6.9e10 hyperplane counters, so `verify --checks
+    # spectrum` stops before allocating them, with a usage error, not a
+    # spectrum violation
+    B = PointSet(ProjSpace(3, cached_field(2, 12)), np.array([0]))
+    stub = example36.Bundle(frame=SimpleNamespace(q=4, model=None), B=B)
+    monkeypatch.setattr(cli, "_load_any_bundle", lambda path: (B, {}, stub))
 
-    def refuse(space, vecs, what):
+    def refuse(space, vecs):
         raise AssertionError("counting started")
 
     monkeypatch.setattr(verify, "_Tiles", refuse)
@@ -307,7 +347,7 @@ def test_infeasible_counter_exits_2(tmp_path, monkeypatch, capsys):
     ps = PointSet(ProjSpace(3, field), np.array([0]))
     monkeypatch.setattr(cli, "_load_any_bundle", lambda path: (ps, {}, None))
 
-    def refuse(space, vecs, what):
+    def refuse(space, vecs):
         raise AssertionError("counting started")
 
     monkeypatch.setattr(verify, "_Tiles", refuse)

@@ -218,7 +218,7 @@ def test_b_contains_x_point(bundle):
 
 
 def test_bbar_spectrum(bundle):
-    res = ex.spectrum_scan(bundle, "bbar")
+    res = ex.spectrum_scan(bundle)["bbar"]
     assert set(map(int, res["histogram"])) <= {0, 1, 2, 3}
 
 
@@ -232,7 +232,7 @@ def test_structural_checks_exercise_every_clause(bundle):
 
 
 def test_btilde_spectrum_and_dichotomy(bundle):
-    res = ex.spectrum_scan(bundle, "btilde")
+    res = ex.spectrum_scan(bundle)["btilde"]
     assert set(map(int, res["histogram"])) <= {0, 1, 2, 3, 4, 37}
     assert set(map(int, res["ht_histogram"])) <= {0, 37}
     # the X'-subfamily has q^8 members
@@ -313,10 +313,10 @@ def test_image_counts_match_family_scanner(bundles_q2, oracles_q2):
 
 def test_scans_match_family_scanner(bundles_q2, oracles_q2):
     for b, (sc, counts, witnesses) in zip(bundles_q2, oracles_q2):
+        res = ex.spectrum_scan(b)
         for target in ("bbar", "btilde"):
-            res = ex.spectrum_scan(b, target)
-            assert res["histogram"] == _histogram(counts[target])
-        assert res["ht_histogram"] == _histogram(
+            assert res[target]["histogram"] == _histogram(counts[target])
+        assert res["btilde"]["ht_histogram"] == _histogram(
             counts["btilde"][sc.ht_mask])
         tan = ex.tangency_scan(b)
         assert [(w["point"], w["witness"])
@@ -336,14 +336,7 @@ def test_spectrum_violation_names_least_bad_member(bundle, oracles_q2):
     with pytest.raises(GeometryError, match=rf"\| = {union[i]} at dual "
                        rf"{re.escape(str(sc.duals[i].tolist()))} "
                        rf"\(rank {sc.ranks[i]}\)"):
-        ex.spectrum_scan(broken, "bbar")
-
-
-def test_first_bad_member_skips_cells_through_x():
-    x_ranks = np.array([2, 3, 7])
-    counts = np.zeros(10, dtype=np.uint8)
-    counts[[3, 5, 7]] = 9
-    assert ex._first_member_with(counts, x_ranks, {9}) == 5
+        ex.spectrum_scan(broken)
 
 
 def test_cone_image_refuses_shared_lines(bundle):
@@ -358,16 +351,23 @@ def test_cone_image_refuses_shared_lines(bundle):
         ex.cone_image(m, ps)
 
 
-def test_q3_spectrum_theorems():
-    """Both spectra at q = 3 over all q^18 family members (about a minute):
-    the values lie in the proved sets, each member is counted once, and the
-    double count sum(value x frequency) = |image| x Q^2 holds, every image
-    point lying on Q^2 members."""
+@pytest.fixture(scope="module")
+def bundle_q3():
+    """The q = 3 seed-0 bundle, shared so that its theorems read one count
+    of B."""
+    return ex.example_build(3, 0)
+
+
+def test_q3_spectrum_theorems(bundle_q3):
+    """Both spectra at q = 3 over all q^18 family members: the values lie in
+    the proved sets, each member is counted once, and the double count
+    sum(value x frequency) = |image| x Q^2 holds, every image point lying on
+    Q^2 members."""
     q = 3
-    bundle = ex.example_build(q, 0)
+    bundle = bundle_q3
     bt = len(bundle.frame.btilde)
-    rb = ex.spectrum_scan(bundle, "bbar")
-    rt = ex.spectrum_scan(bundle, "btilde")
+    spectra = ex.spectrum_scan(bundle)
+    rb, rt = spectra["bbar"], spectra["btilde"]
     for res, allowed, image in ((rb, {0, 1, q, q + 1}, q**6),
                                 (rt, {0, 1, 2, 3, q * q, bt}, bt * q * q)):
         hist = res["histogram"]
@@ -397,12 +397,12 @@ _GOLDEN_Q3_TANGENCY = \
     "e667e8a9822ada48fdec249b134e4b5839d8e9903fb0185eaa06c8fdc67671b0"
 
 
-def test_q3_tangency_witnesses():
+def test_q3_tangency_witnesses(bundle_q3):
     """All 298 = 4q^4 - 3q^2 + 1 tangency witnesses at q = 3: each misses X,
     meets the union's cone image in exactly one image point of its own point,
     and lies on the X'-side of its part; the list is the pinned one."""
     q = 3
-    bundle = ex.example_build(q, 0)
+    bundle = bundle_q3
     fr = bundle.frame
     model = fr.model
     sp = model.pi_space
@@ -425,11 +425,6 @@ def test_q3_tangency_witnesses():
         assert (w["point"] in fr.bbar) == (w["part"] == "bbar")
     text = json.dumps(ws, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_Q3_TANGENCY
-
-
-def test_spectrum_scan_rejects_unknown_target(bundle):
-    with pytest.raises(GeometryError):
-        ex.spectrum_scan(bundle, "everything")
 
 
 def test_seed_variants_build(bundle):
@@ -468,9 +463,9 @@ _GOLDEN_BUNDLES = {
 }
 
 
-def test_bundles_match_golden_hashes(bundles_q2):
+def test_bundles_match_golden_hashes(bundles_q2, bundle_q3):
     built = {(2, seed): b for seed, b in enumerate(bundles_q2)}
-    built[3, 0] = ex.example_build(3, 0)
+    built[3, 0] = bundle_q3
     for key, bundle in built.items():
         text = json.dumps(ex.bundle_to_dict(bundle))
         assert hashlib.sha256(text.encode()).hexdigest() == \
