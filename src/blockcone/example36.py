@@ -22,8 +22,8 @@ from . import pg, verify
 from .gf import cached_field, is_prime, subfield_embed
 from .linalg import kernel_basis, matmul, rref
 from .model import BCModel, make_model, prime_power
-from .mps import MPSFrame, _row_space, cone, cone_image_vecs, mps_build, \
-    mps_size_predict, pi_hyperplane_ranks_avoiding_x
+from .mps import MPSFrame, _inside, _row_space, cone, cone_image_vecs, \
+    member_ranks, mps_build, mps_size_predict
 from .pg import GeometryError, PointSet, ProjSpace, Subspace, meet, span, span_in
 
 
@@ -108,18 +108,13 @@ def frame36_make(q: int, seed: int = 0) -> Example36Frame:
     rn = 9
     p_vec = model.vertex_p
 
-    # duals of Sigma vanishing on X': kernel of the generator matrix acting on
-    # coefficient vectors
+    # duals of Sigma vanishing on X', in rank order: the points of the
+    # subspace of forms vanishing on it
     sint = ProjSpace(rn - 1, model.tower.sub)
     xp_int = Subspace(sint, model.Xprime.mat[:, :rn])
-    basis = kernel_basis(xp_int.mat, sint.field)
-    coeff_space = ProjSpace(basis.shape[0] - 1, sint.field)
-    coeffs = pg.unrank_batch(coeff_space, np.arange(coeff_space.n_points))
-    duals = pg.normalize_batch(sint, matmul(coeffs, basis, sint.field))
-    order = np.argsort(pg.rank_batch(sint, duals))
     gamma = None
     p_int = p_vec[:rn]
-    for f in duals[order]:
+    for f in Subspace(sint, xp_int.dual_forms()).point_vecs():
         if pg.dot(sint, p_int, f) != 0:
             gam_int = Subspace(sint, kernel_basis(f[None, :], sint.field),
                                _canonical=True)
@@ -375,10 +370,7 @@ def _least_h(model: BCModel, gamma_prime: Subspace, pi: Subspace) -> np.ndarray:
     w_forms = span([model.X, model.Xprime, pi]).dual_forms()
     for ranks in pg.hyperplane_point_ranks(sp, g[0]):
         vecs = pg.unrank_batch(sp, ranks)
-        out_w = np.zeros(len(vecs), dtype=bool)
-        for fvec in w_forms:
-            out_w |= pg.dot(sp, vecs, np.broadcast_to(fvec, vecs.shape)) != 0
-        ok = (vecs[:, -1] != 0) & out_w
+        ok = (vecs[:, -1] != 0) & ~_inside(w_forms, vecs, sp.field)
         if np.any(ok):
             return vecs[np.argmax(ok)]
     raise GeometryError("no admissible h (cannot happen)")
@@ -441,20 +433,11 @@ def family_ranks(model: BCModel) -> tuple[np.ndarray, np.ndarray]:
     outside the family, and the ranks of the family members through the
     point of X'."""
     sp = model.pi_space
-    x_ranks = pg.hyperplanes_through(sp, model.spread_to_pg_vec(model.x_index))
-    xp_ranks = pg.hyperplanes_through(
+    x_ranks = pg.incident_dual_ranks(sp,
+                                     model.spread_to_pg_vec(model.x_index))
+    xp_ranks = pg.incident_dual_ranks(
         sp, model.spread_to_pg_vec(model.xprime_index))
     return x_ranks, np.setdiff1d(xp_ranks, x_ranks, assume_unique=True)
-
-
-def member_ranks(x_ranks: np.ndarray, k) -> np.ndarray:
-    """Dual ranks of the k-th family members (0-based, in rank order), i.e.
-    of the k-th ranks missing from the sorted x_ranks: x_ranks[j] - j ranks
-    of the family lie below x_ranks[j].  Any sorted list of excluded ranks
-    may stand for x_ranks."""
-    k = np.asarray(k, dtype=np.int64)
-    return k + np.searchsorted(x_ranks - np.arange(x_ranks.size), k,
-                               side="right")
 
 
 def _as_dict(hist: np.ndarray) -> dict:
@@ -474,12 +457,13 @@ class FamilyScanner:
     def __init__(self, model: BCModel):
         self.model = model
         sp = model.pi_space
-        # int64 ranks of all hyperplanes, then int64 duals of the members:
-        # about 15.5 GB at q = 3
+        # int64 indices and ranks of the members, then their int64 duals:
+        # about 18.6 GB at q = 3
         members = sp.n_points - sp.hyperplanes_per_point()
-        pg.check_budget(8 * sp.n_points + 8 * (sp.m + 1) * members,
+        pg.check_budget(8 * (sp.m + 3) * members,
                         f"family scan over the hyperplanes of {sp}")
-        self.ranks = pi_hyperplane_ranks_avoiding_x(model)
+        x_ranks, _ = family_ranks(model)
+        self.ranks = member_ranks(x_ranks, np.arange(members))
         self.duals = pg.unrank_batch(sp, self.ranks)
         xp_vec = model.spread_to_pg_vec(model.xprime_index)
         self.ht_mask = pg.dot(sp, self.duals,

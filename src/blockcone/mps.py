@@ -74,9 +74,14 @@ class MPSFrame:
 
     @cached_property
     def family(self) -> tuple[np.ndarray, np.ndarray]:
-        """Member ranks (hyperplanes of Pi_r missing X) and their duals."""
-        ranks = pi_hyperplane_ranks_avoiding_x(self.model)
-        return ranks, pg.unrank_batch(self.model.pi_space, ranks)
+        """Member ranks (hyperplanes of Pi_r missing X), which are the ranks
+        missing from X's sorted dual ranks, and their duals."""
+        model = self.model
+        sp = model.pi_space
+        x_ranks = pg.incident_dual_ranks(
+            sp, model.spread_to_pg_vec(model.x_index))
+        ranks = member_ranks(x_ranks, np.arange(sp.n_points - x_ranks.size))
+        return ranks, pg.unrank_batch(sp, ranks)
 
     @cached_property
     def x_rank(self) -> int:
@@ -142,13 +147,14 @@ def frame_make(model: BCModel, s: int, seed: int = 0) -> MPSFrame:
     return frame
 
 
-def pi_hyperplane_ranks_avoiding_x(model: BCModel) -> np.ndarray:
-    """Dual ranks of the hyperplanes of Pi_r not through the point of X."""
-    sp = model.pi_space
-    xvec = model.spread_to_pg_vec(model.x_index)
-    through = pg.hyperplanes_through(sp, xvec)
-    return np.setdiff1d(np.arange(sp.n_points, dtype=np.int64), through,
-                        assume_unique=True)
+def member_ranks(x_ranks: np.ndarray, k) -> np.ndarray:
+    """Dual ranks of the k-th family members (0-based, in rank order), i.e.
+    of the k-th ranks missing from the sorted x_ranks: x_ranks[j] - j ranks
+    of the family lie below x_ranks[j].  Any sorted list of excluded ranks
+    may stand for x_ranks."""
+    k = np.asarray(k, dtype=np.int64)
+    return k + np.searchsorted(x_ranks - np.arange(x_ranks.size), k,
+                               side="right")
 
 
 def _row_space(vertex: Subspace) -> np.ndarray:
@@ -329,9 +335,7 @@ def _minimal_covers(masks: list[int], full: int, max_k: int) -> list[tuple]:
 def _contains_complementary_subspace(bbar: PointSet, frame: MPSFrame) -> bool:
     """Triviality per the family definition: Bbar contains a subspace of
     dimension (ambient dim of Gamma') - (family member dim) = n - s - 1."""
-    d = frame.model.n - frame.s - 1
+    d = frame.model.n - frame.s - 1  # >= 1, as s <= n - 2
     if d == 1:
         return triviality_check(bbar)
-    if d == 0:
-        return len(bbar) > 0
-    raise NotImplementedError("triviality scan implemented for d <= 1 only")
+    raise NotImplementedError("triviality scan implemented for d = 1 only")

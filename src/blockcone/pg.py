@@ -143,7 +143,8 @@ def dot(space: ProjSpace, u: np.ndarray, v: np.ndarray):
 
 
 def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
-    """Ranks of all canonical dual vectors a with a . vec = 0, in closed form.
+    """Ranks of all canonical dual vectors a with a . vec = 0, in increasing
+    order, in closed form.
 
     With i* the last nonzero coordinate of vec and c = -vec[i*]^-1, a dual
     with pivot j > i* is incident for every choice of its free coordinates,
@@ -152,22 +153,21 @@ def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
 
         a* = c.v_j + sum over free i of (c.v_i).a_i.
 
-    Per pivot j < i*, a* is an outer sum over the free coordinates before i*
-    and the ranks a broadcast sum written into one preallocated array
-    (`_pivot_block`).  The ranks are ordered by pivot, then lexicographically
-    in the free coordinates."""
+    The pivots j > i* are the ranks below thresh[i*].  Per pivot j < i*, a*
+    is an outer sum over the free coordinates before i* and the ranks a
+    broadcast sum written into one preallocated array (`_pivot_block`),
+    lexicographic in the free coordinates, which is rank order (see
+    `hyperplane_point_ranks`).  The blocks are written from the highest
+    pivot down, so the whole array is in rank order."""
     m, q = space.m, space.q
     istar, cv = _incidence_form(space, vec)
     out = np.empty(space.hyperplanes_per_point(), dtype=np.int64)
-    lo = 0
-    for j in range(istar):
+    lo = int(space.thresh[istar])
+    out[:lo] = np.arange(lo)
+    for j in range(istar - 1, -1, -1):
         size = q ** (m - j - 1)
         _pivot_block(space, cv, istar, j, out[lo:lo + size])
         lo += size
-    for j in range(istar + 1, m + 1):
-        base = int(space.thresh[j])
-        out[lo:lo + q ** (m - j)] = np.arange(base, base + q ** (m - j))
-        lo += q ** (m - j)
     return out
 
 
@@ -180,28 +180,25 @@ def hyperplane_point_ranks(space: ProjSpace, form):
     in chunks of at most `_WALK_CHUNK`.
 
     These are the duals incident to `form`, walked pivot block by pivot block
-    from the highest pivot down, which is rank order.  A block j > i* is a
-    rank interval; pivot i* has no incident dual.  A block j < i* is built
-    per value of its first free coordinate with `_pivot_block`, and needs no
-    sort: a* depends only on the free coordinates before it, so lexicographic
-    order of the free coordinates is lexicographic order of the whole vector,
-    i.e. rank order."""
+    from the highest pivot down, which is rank order.  The pivots j > i* are
+    the ranks below thresh[i*]; pivot i* has no incident dual.  A block
+    j < i* is built per value of its first free coordinate with
+    `_pivot_block`, and needs no sort: a* depends only on the free
+    coordinates before it, so lexicographic order of the free coordinates is
+    lexicographic order of the whole vector, i.e. rank order."""
     m, q = space.m, space.q
     istar, cv = _incidence_form(space, form)
-    for j in range(m, -1, -1):
-        if j > istar:
-            lo = int(space.thresh[j])
-            hi = lo + q ** (m - j)
-            for a in range(lo, hi, _WALK_CHUNK):
-                yield np.arange(a, min(a + _WALK_CHUNK, hi), dtype=np.int64)
-        elif j < istar:
-            size = q ** (m - j - 1)
-            leads = [None] if size == 1 else range(q)
-            for lead in leads:
-                block = np.empty(size // len(leads), dtype=np.int64)
-                _pivot_block(space, cv, istar, j, block, lead)
-                for a in range(0, block.size, _WALK_CHUNK):
-                    yield block[a:a + _WALK_CHUNK]
+    hi = int(space.thresh[istar])
+    for a in range(0, hi, _WALK_CHUNK):
+        yield np.arange(a, min(a + _WALK_CHUNK, hi), dtype=np.int64)
+    for j in range(istar - 1, -1, -1):
+        size = q ** (m - j - 1)
+        leads = [None] if size == 1 else range(q)
+        for lead in leads:
+            block = np.empty(size // len(leads), dtype=np.int64)
+            _pivot_block(space, cv, istar, j, block, lead)
+            for a in range(0, block.size, _WALK_CHUNK):
+                yield block[a:a + _WALK_CHUNK]
 
 
 def _incidence_form(space: ProjSpace, vec) -> tuple[int, np.ndarray]:
@@ -254,13 +251,6 @@ def _pivot_block(space: ProjSpace, cv: np.ndarray, istar: int, j: int,
     block += np.arange(base, base + acc.size * wb, wb)[:, None]
     if n_after > 1:
         block += np.arange(n_after)
-
-
-def hyperplanes_through(space: ProjSpace, vec) -> np.ndarray:
-    """Dual ranks of all hyperplanes through the point, sorted."""
-    r = incident_dual_ranks(space, vec)
-    r.sort()
-    return r
 
 
 # ---------------------------------------------------------------------------

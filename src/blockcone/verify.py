@@ -1,12 +1,10 @@
 """Exhaustive certification of blocking / minimality / triviality / planarity.
 
 Blocking and minimality are incidence counts over all hyperplanes, and both
-run on one kernel, `_Tiles` (the example's theorems read B's one count:
-`example36.spectrum_scan`, `example36.tangency_scan`).  A set's
-`_Tiles` is built once: `blocking_check` keeps it on the `CoverageResult`,
-and `minimality_check` walks the tangents on that same object.  It walks
-the hyperplane ranks of PG(m, q) in increasing order, tile by tile, and meets
-all points with a tile at once:
+come from one walk of one kernel, `_Tiles` (the example's theorems read B's
+one count: `example36.spectrum_scan`, `example36.tangency_scan`).  The walk
+goes over the hyperplane ranks of PG(m, q) in increasing order, tile by
+tile, and meets all points with a tile at once:
 
 - the low tile is the q + 1 ranks of pivots m - 1 and m;
 - every other tile is the q^2 contiguous ranks of one pivot j <= m - 2 and
@@ -24,10 +22,13 @@ and d = g_j + sum of prefix_i.g_i.  So a point meets a tile
 - if v_{m-1} = v_m = 0: in the whole tile when d = 0, and nowhere otherwise.
 
 A tile's counts are one add-table gather and one `np.bincount` over the cells
-of all points.  Counters saturate at 255, which is safe: blocking needs
-`>= 1` and minimality only distinguishes 1 from `>= 2`.  A point's least
-tangent (the least hyperplane through it of count 1) comes from the same walk
-in rank order, which a point leaves at its first tangent.
+of all points.  A point's least tangent (the least hyperplane through it of
+count 1) is found in the same walk: a batch's counts are complete when it is
+counted and the batches come in rank order, so the first batch holding a
+count-1 cell of a point holds its least tangent.  `blocking_check` keeps the
+counts, saturated at 255, and the tangents on its `CoverageResult`, and
+`minimality_check` only reads the tangents.  Saturation is safe: blocking
+needs `>= 1`, and the tangents are found on the exact counts.
 
 `run_checks` is the one builder of a verify report and of its verdict.
 """
@@ -56,13 +57,12 @@ _HEARTBEAT_S = 5.0
 @dataclass
 class CoverageResult:
     space: ProjSpace
-    set_size: int
     counts: np.ndarray  # uint8, one cell per hyperplane rank, saturating
     uncovered_total: int
     uncovered_sample: list[int]
     checksum: int
     elapsed_ms: float
-    tiles: "_Tiles"  # the set's tile set-up, walked again by minimality
+    tangents: np.ndarray  # per point in rank order, its least tangent or -1
 
     @property
     def blocking(self) -> bool:
@@ -131,10 +131,10 @@ class _Tiles:
         self.chunk = max(1, cap // Q)  # diagonal points per gather
         self.tiles = max(1, cap // (Q * max(min(len(v), self.chunk), Q)))
 
-    def _batches(self, what: str):
+    def _batches(self):
         """(first rank, pivot j, first tile, tiles) per batch of the tiles
         of the pivots j <= m - 2, in rank order, with a heartbeat on stderr
-        every few seconds that names the pass `what`."""
+        every few seconds that names the number of points counted."""
         m, Q = self.space.m, self.space.q
         total = (Q ** (m - 1) - 1) // (Q - 1)
         start = beat = time.perf_counter()
@@ -150,7 +150,8 @@ class _Tiles:
                     beat = now
                     rate = done / (now - start)
                     sys.stderr.write(
-                        f"{what} over {self.space}: {done}/{total} "
+                        f"counting {len(self.g)} points over {self.space}: "
+                        f"{done}/{total} "
                         f"tiles, {rate * Q * Q:.3g} cells/s, "
                         f"ETA {(total - done) / rate:.0f} s\n")
 
@@ -189,10 +190,20 @@ class _Tiles:
         return np.bincount(cells.ravel(), minlength=k * Q * Q)
 
     def counts(self):
-        """(first rank, int64 counts) per tile batch, the low tile first."""
+        """(first rank, int64 counts) per tile batch, the low tile first.
+        Before a batch is yielded, `best` takes each point's least tangent
+        in it, if the point has none yet: per point, the least hyperplane
+        rank through it of count 1, or -1 while none is found."""
         Q = self.space.q
-        yield 0, np.bincount(self.low, minlength=Q + 1) + self.whole.size
-        for lo, j, t0, k in self._batches("blocking"):
+        cnt = np.bincount(self.low, minlength=Q + 1) + self.whole.size
+        ok = cnt == 1
+        self.best = best = np.full(len(self.g), -1, dtype=np.int64)
+        best[self.single] = np.where(ok[self.low], self.low, -1)
+        # whole points lie on every hyperplane of the low tile
+        one = np.flatnonzero(ok)
+        best[self.whole] = one[0] if one.size else -1
+        yield 0, cnt
+        for lo, j, t0, k in self._batches():
             cnt = self._diag_counts(0, j, t0, k)
             for a in range(self.chunk, self.diag.size, self.chunk):
                 cnt += self._diag_counts(a, j, t0, k)
@@ -205,48 +216,36 @@ class _Tiles:
                 d = self._offsets(self.whole, j, t0, k)
                 cnt.reshape(k, Q * Q)[:] += np.count_nonzero(
                     d == 0, axis=1)[:, None]
+            if (best < 0).any():
+                self._tangents(cnt == 1, lo, j, t0, k)
             yield lo, cnt
 
-    def tangents(self, counts: np.ndarray) -> np.ndarray:
-        """Per point, the least hyperplane rank through it whose count is 1,
-        or -1."""
+    def _tangents(self, ok: np.ndarray, lo: int, j: int, t0: int, k: int):
+        """Give each point without a tangent its first cell with `ok` (count
+        1) in the batch of the k tiles from t0 of pivot j, at rank lo."""
         Q = self.space.q
-        P = len(self.g)
-        best = np.full(P, -1, dtype=np.int64)
-        ok = counts[:Q + 1] == 1
-        best[self.single] = np.where(ok[self.low], self.low, -1)
-        # whole points lie on every hyperplane of the low tile
-        one = np.flatnonzero(ok)
-        best[self.whole] = one[0] if one.size else -1
-        diag_pos = np.zeros(P, dtype=np.int64)
-        diag_pos[self.diag] = np.arange(self.diag.size)
-        for lo, j, t0, k in self._batches("minimality"):
-            open_ = best < 0
-            if not open_.any():
-                break
-            ok = counts[lo:lo + k * Q * Q] == 1
-            # diagonal and row points: their cells, per point in rank order
-            idx = self.diag[open_[self.diag]]
-            cells = self._diag_cells(self.step[:, diag_pos[idx]],
-                                     self._offsets(idx, j, t0, k))
-            cells = cells.transpose(2, 0, 1).reshape(idx.size, k * Q)
-            best[idx] = _first(cells, ok[cells])
-            idx = self.row[open_[self.row]]
-            starts = np.arange(k)[:, None] * (Q * Q) + \
-                self._offsets(idx, j, t0, k) * Q
-            cells = (starts.T[:, :, None] + np.arange(Q)).reshape(idx.size,
-                                                                  k * Q)
-            best[idx] = _first(cells, ok[cells])
-            # whole points: the first count-1 cell of each tile with d = 0
-            idx = self.whole[open_[self.whole]]
-            if idx.size:
-                per_tile = ok.reshape(k, Q * Q)
-                cells = np.arange(k) * (Q * Q) + per_tile.argmax(axis=1)
-                hit = per_tile.any(axis=1) & (
-                    self._offsets(idx, j, t0, k).T == 0)
-                best[idx] = _first(np.broadcast_to(cells, hit.shape), hit)
-            best[open_ & (best >= 0)] += lo
-        return best
+        best = self.best
+        open_ = best < 0
+        # diagonal and row points: their cells, per point in rank order
+        pos = np.flatnonzero(open_[self.diag])
+        idx = self.diag[pos]
+        cells = self._diag_cells(self.step[:, pos],
+                                 self._offsets(idx, j, t0, k))
+        cells = cells.transpose(2, 0, 1).reshape(idx.size, k * Q)
+        best[idx] = _first(cells, ok[cells])
+        idx = self.row[open_[self.row]]
+        starts = np.arange(k)[:, None] * (Q * Q) + \
+            self._offsets(idx, j, t0, k) * Q
+        cells = (starts.T[:, :, None] + np.arange(Q)).reshape(idx.size, k * Q)
+        best[idx] = _first(cells, ok[cells])
+        # whole points: the first count-1 cell of each tile with d = 0
+        idx = self.whole[open_[self.whole]]
+        if idx.size:
+            per_tile = ok.reshape(k, Q * Q)
+            cells = np.arange(k) * (Q * Q) + per_tile.argmax(axis=1)
+            hit = per_tile.any(axis=1) & (self._offsets(idx, j, t0, k).T == 0)
+            best[idx] = _first(np.broadcast_to(cells, hit.shape), hit)
+        best[open_ & (best >= 0)] += lo
 
 
 def blocking_check(ps: PointSet) -> CoverageResult:
@@ -254,7 +253,7 @@ def blocking_check(ps: PointSet) -> CoverageResult:
 
     The counts of each tile batch are saturated at 255 and written into one
     uint8 counter, which is checked against the memory budget before it is
-    allocated."""
+    allocated.  The same walk finds each point's least tangent."""
     t0 = time.perf_counter()
     space = ps.space
     pg.check_budget(space.n_points, f"a hyperplane counter over {space}")
@@ -265,25 +264,24 @@ def blocking_check(ps: PointSet) -> CoverageResult:
     uncovered_total = counts.size - int(np.count_nonzero(counts))
     return CoverageResult(
         space=space,
-        set_size=len(ps),
         counts=counts,
         uncovered_total=uncovered_total,
         uncovered_sample=_first_zeros(counts, min(uncovered_total,
                                                   _UNCOVERED_SAMPLE)),
         checksum=_checksum(ps),
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        tiles=tiles,
+        tangents=tiles.best,
     )
 
 
 def minimality_check(ps: PointSet, coverage: CoverageResult) -> MinimalityResult:
-    """A point is essential iff some hyperplane through it has counter exactly
-    1; the least such hyperplane is its tangent witness.  The tangents are
-    walked on the `_Tiles` that `blocking_check` built for ps."""
+    """A point is essential iff some hyperplane through it has count exactly
+    1; the least such hyperplane is its tangent witness, which
+    `blocking_check`'s walk found."""
     if coverage.checksum != _checksum(ps):
         raise ValueError("coverage array does not belong to this point set")
     t0 = time.perf_counter()
-    best = coverage.tiles.tangents(coverage.counts)
+    best = coverage.tangents
     essential = [(int(r), int(w)) for r, w in zip(ps.ranks, best) if w >= 0]
     inessential = [int(r) for r, w in zip(ps.ranks, best) if w < 0]
     return MinimalityResult(essential, inessential,

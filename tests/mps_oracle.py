@@ -15,18 +15,22 @@ import itertools
 
 import numpy as np
 
-from blockcone.mps import (_contains_complementary_subspace,
-                           pi_hyperplane_ranks_avoiding_x)
+from blockcone.mps import _contains_complementary_subspace
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
 from blockcone import pg
 
 
 def family_enumerate(frame):
     """Yield (hyperplane rank, I) over all hyperplanes of Pi_r missing X,
-    where I = <blowup(H), Omega> cap Gamma'."""
+    in rank order, where I = <blowup(H), Omega> cap Gamma'.  The members are
+    listed by incidence with X, one hyperplane at a time."""
     model = frame.model
-    for rank in pi_hyperplane_ranks_avoiding_x(model):
-        a = pg.unrank(model.pi_space, int(rank))
+    sp = model.pi_space
+    xvec = model.spread_to_pg_vec(model.x_index)
+    for rank in range(sp.n_points):
+        a = pg.unrank(sp, rank)
+        if pg.incident(xvec, a, sp):
+            continue
         blow = model.hyperplane_blowup(a)
         I = meet(span([blow, frame.omega]), frame.gamma_prime)
         yield int(rank), I

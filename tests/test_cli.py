@@ -121,19 +121,39 @@ def test_verify_computes_family_ranks_once(bundle_path, tmp_path,
 
 def test_verify_counts_b_once(bundle_path, tmp_path, monkeypatch):
     # B's count serves blocking, minimality, the spectra and tangency; the
-    # only other tile set-up is the spectra's pass over image(Bbar)
-    built = []
+    # only other tile set-up is the spectra's pass over image(Bbar).  Each
+    # set is walked once: the least tangents are found while counting
+    built, walked = [], []
+    real = verify._Tiles._batches
 
     class Counted(verify._Tiles):
         def __init__(self, space, vecs):
             built.append(len(vecs))
             super().__init__(space, vecs)
 
+        def _batches(self):
+            walked.append(len(self.g))
+            return real(self)
+
     monkeypatch.setattr(verify, "_Tiles", Counted)
     assert run(["verify", "--bundle", str(bundle_path), "--checks",
                 "blocking,minimal,spectrum,tangency",
                 "--report", str(tmp_path / "once.json")]) == 0
     assert built == [213, 64]  # |B|, then q1 x |Bbar \ Sigma|
+    assert walked == [213, 64]
+
+
+def test_heartbeat_names_the_counted_set(bundle_path, tmp_path, monkeypatch,
+                                         capsys):
+    # with a heartbeat per batch, B's pass and the spectra's pass over
+    # image(Bbar) are told apart by their number of points
+    monkeypatch.setattr(verify, "_HEARTBEAT_S", 0)
+    assert run(["verify", "--bundle", str(bundle_path), "--checks",
+                "blocking,spectrum",
+                "--report", str(tmp_path / "hb.json")]) == 0
+    err = capsys.readouterr().err
+    for n in (213, 64):
+        assert f"counting {n} points over PG(3,64): " in err
 
 
 @pytest.mark.parametrize("checks", [
@@ -302,7 +322,7 @@ def test_tangency_wrong_side_fails(bundle_path, tmp_path, monkeypatch):
 
     def wrong(model):
         x_ranks, _ = real(model)
-        other = pg.hyperplanes_through(
+        other = pg.incident_dual_ranks(
             model.pi_space, model.spread_to_pg_vec(model.xprime_index + 1))
         return x_ranks, np.setdiff1d(other, x_ranks)
 

@@ -7,7 +7,7 @@ from blockcone import pg, verify
 from blockcone.model import make_model
 from blockcone.mps import (MPSFrame, bbar_without_x, cone, f_blocking_check,
                            f_search_minimal, frame_make, mps_build,
-                           mps_size_predict, pi_hyperplane_ranks_avoiding_x)
+                           mps_size_predict)
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
 
 
@@ -183,11 +183,14 @@ def test_seed_shifts_give_valid_frames():
 
 
 def test_hyperplanes_avoiding_x_count(frame):
+    # the family is every hyperplane missing X, by incidence, in rank order
     model = frame.model
-    ranks = pi_hyperplane_ranks_avoiding_x(model)
+    sp = model.pi_space
+    ranks, duals = frame.family
     qn = model.q1**model.n
     assert len(ranks) == qn**model.r
     xvec = model.spread_to_pg_vec(model.x_index)
-    for r in ranks[:: max(1, len(ranks) // 20)]:
-        a = pg.unrank(model.pi_space, int(r))
-        assert not pg.incident(xvec, a, model.pi_space)
+    expect = [r for r in range(sp.n_points)
+              if not pg.incident(xvec, pg.unrank(sp, r), sp)]
+    assert ranks.tolist() == expect
+    assert np.array_equal(duals, pg.unrank_batch(sp, ranks))

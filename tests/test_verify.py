@@ -277,6 +277,7 @@ def _point_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(_point_sets())
 @example(PointSet(_space(3, 2, 1), np.zeros(0, dtype=np.int64)))
+@example(PointSet(_space(3, 2, 1), np.arange(15)))  # every point inessential
 def test_tile_kernel_matches_naive_oracle(ps):
     cov = verify.blocking_check(ps)
     naive = verify.naive_coverage(ps)
@@ -287,6 +288,10 @@ def test_tile_kernel_matches_naive_oracle(ps):
                               if w >= 0]
     assert mres.inessential == [int(r) for r, w in zip(ps.ranks, expect)
                                 if w < 0]
+    # minimality only reads the coverage: a second call gives the same
+    again = verify.minimality_check(ps, cov)
+    assert (again.essential, again.inessential) == (mres.essential,
+                                                    mres.inessential)
 
 
 @pytest.mark.parametrize("m,p,k,size", [(3, 3, 1, 80), (4, 2, 1, 50),
