@@ -46,27 +46,21 @@ class Example36Frame:
     bbar: PointSet         # Sigma' ranks
     btilde: PointSet       # Sigma' ranks
 
-    @property
-    def gamma(self) -> Subspace:
-        return self.mps.gamma
-
-    @property
-    def gamma_prime(self) -> Subspace:
-        return self.mps.gamma_prime
-
-    @property
-    def theta(self) -> Subspace:
-        return self.mps.theta
-
     @cached_property
     def family_ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """`family_ranks` of the model, computed once per frame and
-        read-only: the spectra, the structural checks and tangency all read
-        it."""
-        ranks = family_ranks(self.model)
-        for r in ranks:
-            r.setflags(write=False)
-        return ranks
+        """(X-ranks, X'-subfamily), both sorted and read-only, computed once
+        per frame for the spectra, the structural checks and tangency: X's
+        dual ranks from the MPS frame, which are exactly the ranks outside
+        the family, and the ranks of the family members through the point
+        of X'."""
+        model = self.model
+        x_ranks = self.mps.x_ranks
+        xp_members = np.setdiff1d(
+            pg.incident_dual_ranks(
+                model.pi_space, model.spread_to_pg_vec(model.xprime_index)),
+            x_ranks, assume_unique=True)
+        xp_members.setflags(write=False)
+        return x_ranks, xp_members
 
 
 @dataclass(eq=False)
@@ -427,19 +421,6 @@ def cone_image(model: BCModel, ps: PointSet) -> PointSet:
     return image
 
 
-def family_ranks(model: BCModel) -> tuple[np.ndarray, np.ndarray]:
-    """(X-ranks, X'-subfamily), both sorted: the dual ranks of the
-    hyperplanes of Pi_r through the point of X, which are exactly the ranks
-    outside the family, and the ranks of the family members through the
-    point of X'."""
-    sp = model.pi_space
-    x_ranks = pg.incident_dual_ranks(sp,
-                                     model.spread_to_pg_vec(model.x_index))
-    xp_ranks = pg.incident_dual_ranks(
-        sp, model.spread_to_pg_vec(model.xprime_index))
-    return x_ranks, np.setdiff1d(xp_ranks, x_ranks, assume_unique=True)
-
-
 def _as_dict(hist: np.ndarray) -> dict:
     return {v: int(c) for v, c in enumerate(hist) if c}
 
@@ -462,7 +443,8 @@ class FamilyScanner:
         members = sp.n_points - sp.hyperplanes_per_point()
         pg.check_budget(8 * (sp.m + 3) * members,
                         f"family scan over the hyperplanes of {sp}")
-        x_ranks, _ = family_ranks(model)
+        x_ranks = pg.incident_dual_ranks(
+            sp, model.spread_to_pg_vec(model.x_index))
         self.ranks = member_ranks(x_ranks, np.arange(members))
         self.duals = pg.unrank_batch(sp, self.ranks)
         xp_vec = model.spread_to_pg_vec(model.xprime_index)
@@ -496,12 +478,6 @@ class FamilyScanner:
         ratio = self.model.tower.sup.mul_table[self._form_values(u),
                                                self._fp_inv]
         return self._in_small[ratio]
-
-    def counts(self, ps: PointSet) -> np.ndarray:
-        acc = np.zeros(len(self.ranks), dtype=np.int32)
-        for u in ps.vecs():
-            acc += self.membership(u)
-        return acc
 
 
 def _cone_count(bundle: Bundle) -> verify.CoverageResult:

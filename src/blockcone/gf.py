@@ -9,6 +9,7 @@ every "least element" tie-break elsewhere in the package.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -27,35 +28,20 @@ def _digit_rows(count: int, base: int, width: int) -> np.ndarray:
     return np.stack([n // base**i % base for i in range(width)], axis=1)
 
 
-def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        n, d = divmod(n, p)
-        out.append(d)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p); polys are little-endian coefficient tuples
-
-
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
+# polynomial helpers over GF(p); polys are little-endian coefficient sequences
 
 
 def _poly_mod(a, b, p):
+    """Coefficients of a mod the monic b, deg(b) of them."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    lb_inv = pow(lb, p - 2, p)
+    db = len(b) - 1
     for i in range(len(a) - 1, db - 1, -1):
-        f = a[i] * lb_inv % p
+        f = a[i]
         if f:
             for j in range(db + 1):
                 a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _poly_trim(a[:db])
+    return a[:db]
 
 
 def is_prime(n: int) -> bool:
@@ -69,32 +55,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def poly_is_irreducible(modulus, p: int) -> bool:
-    """Trial division against every monic polynomial of degree <= deg/2."""
-    modulus = _poly_trim(modulus)
-    k = len(modulus) - 1
-    if k < 1 or modulus[-1] != 1:
-        return False
-    if k == 1:
-        return True
-    if modulus[0] == 0:  # divisible by x
-        return False
-    for d in range(1, k // 2 + 1):
-        for low in range(p**d):
-            div = _digits(low, p, d) + (1,)
-            if not _poly_mod(modulus, div, p):
-                return False
-    return True
+def _monic(p: int, d: int):
+    """The monic polynomials of degree d over GF(p), lazily, in low-part
+    encoding order (the constant coefficient varies fastest)."""
+    for high_first in product(range(p), repeat=d):
+        yield [*reversed(high_first), 1]
 
 
 def least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Monic irreducible of degree k over GF(p) with least low-part encoding."""
-    if k == 1:
-        return (0, 1)
-    for low in range(p**k):
-        cand = _digits(low, p, k) + (1,)
-        if poly_is_irreducible(cand, p):
-            return cand
+    """Monic irreducible of degree k over GF(p) with least low-part encoding:
+    the first candidate with no monic divisor of degree <= k/2 (trial
+    division)."""
+    divisors = [b for d in range(1, k // 2 + 1) for b in _monic(p, d)]
+    for cand in _monic(p, k):
+        if all(any(_poly_mod(cand, b, p)) for b in divisors):
+            return tuple(cand)
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
@@ -102,14 +77,15 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """GF(p^k) with an explicit monic irreducible modulus.
+    """GF(p^k) modulo the least monic irreducible of degree k
+    (`least_irreducible`).
 
     Immutable.  Elements are operated on only through the dense
     add/neg/mul/inv numpy tables, built on first use; fields of more than
     8192 elements are refused.
     """
 
-    def __init__(self, p: int, k: int, modulus=None):
+    def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if k < 1:
@@ -117,18 +93,10 @@ class FieldSpec:
         if p**k > _MAX_ORDER:
             raise FieldError(f"GF({p}^{k}) has more than {_MAX_ORDER} "
                              f"elements, too many for dense tables")
-        if modulus is None:
-            modulus = least_irreducible(p, k)
-        else:
-            modulus = _poly_trim(modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree k")
-            if not poly_is_irreducible(modulus, p):
-                raise FieldError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = p**k
-        self.modulus = modulus
+        self.modulus = least_irreducible(p, k)
 
     # -- identity ----------------------------------------------------------
 

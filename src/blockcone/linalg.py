@@ -67,20 +67,10 @@ def matmul(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
     return out
 
 
-def row_space_contains(rref_mat: np.ndarray, pivots, vec: np.ndarray,
-                       field: FieldSpec) -> bool:
-    """Membership test against an RREF matrix: reduce and check for zero."""
-    v = np.array(vec, dtype=np.int64)
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-    for r, pc in enumerate(pivots):
-        if v[pc]:
-            v = add[v, mul[neg[v[pc]], rref_mat[r]]]
-    return not v.any()
-
-
-def solve_in_row_space(rref_mat: np.ndarray, pivots, vec: np.ndarray,
-                       field: FieldSpec) -> np.ndarray:
-    """Coefficients c with c @ rref_mat = vec; raises if vec is outside."""
+def reduce_in_row_space(rref_mat: np.ndarray, pivots, vec: np.ndarray,
+                        field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(c, remainder) with c @ rref_mat + remainder = vec, the remainder
+    zero on every pivot column; vec lies in the row space iff it is zero."""
     v = np.array(vec, dtype=np.int64)
     add, mul, neg = field.add_table, field.mul_table, field.neg_table
     coeff = np.zeros(rref_mat.shape[0], dtype=np.int64)
@@ -88,9 +78,7 @@ def solve_in_row_space(rref_mat: np.ndarray, pivots, vec: np.ndarray,
         if v[pc]:
             coeff[r] = v[pc]
             v = add[v, mul[neg[v[pc]], rref_mat[r]]]
-    if v.any():
-        raise ValueError("vector not in row space")
-    return coeff
+    return coeff, v
 
 
 def meet_row_spaces(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:

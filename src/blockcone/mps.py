@@ -73,14 +73,22 @@ class MPSFrame:
         return _row_space(self.omega)
 
     @cached_property
+    def x_ranks(self) -> np.ndarray:
+        """X's dual ranks (the hyperplanes of Pi_r through X, which are the
+        ranks outside the family), sorted and read-only."""
+        model = self.model
+        ranks = pg.incident_dual_ranks(
+            model.pi_space, model.spread_to_pg_vec(model.x_index))
+        ranks.setflags(write=False)
+        return ranks
+
+    @cached_property
     def family(self) -> tuple[np.ndarray, np.ndarray]:
         """Member ranks (hyperplanes of Pi_r missing X), which are the ranks
-        missing from X's sorted dual ranks, and their duals."""
-        model = self.model
-        sp = model.pi_space
-        x_ranks = pg.incident_dual_ranks(
-            sp, model.spread_to_pg_vec(model.x_index))
-        ranks = member_ranks(x_ranks, np.arange(sp.n_points - x_ranks.size))
+        missing from X's, and their duals."""
+        sp = self.model.pi_space
+        ranks = member_ranks(self.x_ranks,
+                             np.arange(sp.n_points - self.x_ranks.size))
         return ranks, pg.unrank_batch(sp, ranks)
 
     @cached_property

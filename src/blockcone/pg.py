@@ -43,6 +43,11 @@ class ProjSpace:
     m: int  # projective dimension
     field: FieldSpec
 
+    def __post_init__(self):
+        if self.n_points >= 1 << 63:  # above the int64 maximum
+            raise GeometryError(f"{self} has {self.n_points} points, too many "
+                                f"for int64 ranks")
+
     @property
     def q(self) -> int:
         return self.field.q
@@ -297,16 +302,20 @@ class Subspace:
         return cls(space, np.eye(space.m + 1, dtype=np.int64))
 
     def contains(self, vec) -> bool:
-        return linalg.row_space_contains(self.mat, self.pivots,
-                                         np.asarray(vec), self.space.field)
+        return not linalg.reduce_in_row_space(
+            self.mat, self.pivots, vec, self.space.field)[1].any()
 
     def contains_sub(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.mat)
 
     def coords_of(self, vec) -> np.ndarray:
-        """Coefficients of vec in the generator rows."""
-        return linalg.solve_in_row_space(self.mat, self.pivots,
-                                         np.asarray(vec), self.space.field)
+        """Coefficients of vec in the generator rows; raises if vec is
+        outside the subspace."""
+        coeff, rest = linalg.reduce_in_row_space(self.mat, self.pivots, vec,
+                                                 self.space.field)
+        if rest.any():
+            raise ValueError("vector not in row space")
+        return coeff
 
     def n_points(self) -> int:
         q = self.space.q

@@ -84,18 +84,6 @@ def _checksum(ps: PointSet) -> int:
     return hash((ps.space, ps.ranks.tobytes()))
 
 
-def _first_zeros(counts: np.ndarray, k: int) -> list[int]:
-    """The first k indices of zero cells (k at most the number of zeros),
-    scanned in chunks so that no index array over all zeros is built."""
-    found: list[int] = []
-    lo = 0
-    while len(found) < k:
-        hits = np.flatnonzero(counts[lo:lo + _SCAN_CHUNK] == 0)
-        found.extend(lo + int(x) for x in hits[:k - len(found)])
-        lo += _SCAN_CHUNK
-    return found
-
-
 def _first(cells: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Per row, the cell at the first True of `hit`, or -1."""
     pos = hit.argmax(axis=1)
@@ -253,21 +241,27 @@ def blocking_check(ps: PointSet) -> CoverageResult:
 
     The counts of each tile batch are saturated at 255 and written into one
     uint8 counter, which is checked against the memory budget before it is
-    allocated.  The same walk finds each point's least tangent."""
+    allocated.  The same walk counts the uncovered hyperplanes, samples the
+    first 32 of them, and finds each point's least tangent."""
     t0 = time.perf_counter()
     space = ps.space
     pg.check_budget(space.n_points, f"a hyperplane counter over {space}")
     counts = np.zeros(space.n_points, dtype=np.uint8)
     tiles = _Tiles(space, ps.vecs())
+    uncovered_total, sample = 0, []
     for lo, cnt in tiles.counts():
-        np.minimum(cnt, _SAT, out=counts[lo:lo + cnt.size], casting="unsafe")
-    uncovered_total = counts.size - int(np.count_nonzero(counts))
+        out = counts[lo:lo + cnt.size]
+        np.minimum(cnt, _SAT, out=out, casting="unsafe")
+        zeros = out.size - int(np.count_nonzero(out))
+        if zeros and len(sample) < _UNCOVERED_SAMPLE:
+            hits = np.flatnonzero(out == 0)[:_UNCOVERED_SAMPLE - len(sample)]
+            sample.extend((lo + hits).tolist())
+        uncovered_total += zeros
     return CoverageResult(
         space=space,
         counts=counts,
         uncovered_total=uncovered_total,
-        uncovered_sample=_first_zeros(counts, min(uncovered_total,
-                                                  _UNCOVERED_SAMPLE)),
+        uncovered_sample=sample,
         checksum=_checksum(ps),
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         tangents=tiles.best,

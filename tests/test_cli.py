@@ -105,18 +105,20 @@ def test_verify_spectrum_runs_structural_checks_once(bundle_path, tmp_path,
 def test_verify_computes_family_ranks_once(bundle_path, tmp_path,
                                            monkeypatch):
     # the X-ranks and the X'-subfamily depend only on the model: the two
-    # spectra, the structural checks and tangency share one computation
+    # spectra, the structural checks and tangency share one computation, and
+    # X's ranks come from the MPS frame alone; so one verify lists the duals
+    # through a point twice, for X and for X'
     calls = []
-    real = example36.family_ranks
+    real = pg.incident_dual_ranks
 
-    def counted(model):
+    def counted(space, vec):
         calls.append(1)
-        return real(model)
+        return real(space, vec)
 
-    monkeypatch.setattr(example36, "family_ranks", counted)
+    monkeypatch.setattr(pg, "incident_dual_ranks", counted)
     assert run(["verify", "--bundle", str(bundle_path), "--checks",
                 "spectrum,tangency", "--report", str(tmp_path / "f.json")]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_verify_counts_b_once(bundle_path, tmp_path, monkeypatch):
@@ -318,15 +320,15 @@ def test_spectrum_command(bundle_path, tmp_path):
 def test_tangency_wrong_side_fails(bundle_path, tmp_path, monkeypatch):
     # the X'-subfamily of another spread element in place of X''s: the
     # witnesses of Bbar's points then lie outside it, which is an error
-    real = example36.family_ranks
-
-    def wrong(model):
-        x_ranks, _ = real(model)
+    def wrong(frame):
+        model = frame.model
+        x_ranks = frame.mps.x_ranks
         other = pg.incident_dual_ranks(
             model.pi_space, model.spread_to_pg_vec(model.xprime_index + 1))
         return x_ranks, np.setdiff1d(other, x_ranks)
 
-    monkeypatch.setattr(example36, "family_ranks", wrong)
+    monkeypatch.setattr(example36.Example36Frame, "family_ranks",
+                        property(wrong))
     bundle = example36.load_bundle(bundle_path)
     with pytest.raises(example36.GeometryError, match="X'-subfamily"):
         example36.tangency_scan(bundle)
@@ -453,6 +455,24 @@ def test_search_output_matches_golden_hash(config, capsys):
 def test_non_prime_power_order_exits_2(argv, capsys):
     assert run(argv) == 2
     assert "not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bundle", "r40.json"],
+    ["search", "fblocking", "--q1", "2", "--n", "2", "--r", "40", "--s", "0",
+     "--max-size", "3"],
+    ["construct", "mps", "--q1", "2", "--n", "2", "--r", "40", "--s", "0",
+     "--bbar", "unused.txt"],
+])
+def test_oversized_space_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # PG(40, 4) and PG(80, 2) have more points than int64 ranks can hold
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r40.json").write_text(json.dumps(
+        {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": 40,
+                                     "xprime_index": 1}, "B": [0, 1]}))
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "too many for int64 ranks" in err[0]
 
 
 def test_construct_mps_wrong_space_bbar(tmp_path):

@@ -37,13 +37,13 @@ def test_frame_incidence_invariants(frame):
     m = frame.model
     sp = m.sigma_prime
     # Gamma: hyperplane of Sigma through X', missing p
-    assert frame.gamma.dim == 7
-    assert m.sigma.contains_sub(frame.gamma)
-    assert frame.gamma.contains_sub(m.Xprime)
-    assert not frame.gamma.contains(m.vertex_p)
+    assert frame.mps.gamma.dim == 7
+    assert m.sigma.contains_sub(frame.mps.gamma)
+    assert frame.mps.gamma.contains_sub(m.Xprime)
+    assert not frame.mps.gamma.contains(m.vertex_p)
     # Theta = Gamma cap X is a line with r, q_tilde its least points
-    assert frame.theta.dim == 1
-    tp = frame.theta.point_vecs()
+    assert frame.mps.theta.dim == 1
+    tp = frame.mps.theta.point_vecs()
     assert np.array_equal(tp[0], frame.r_pt)
     assert np.array_equal(tp[1], frame.q_tilde)
     # pi cap Sigma = <t, q_tilde>
@@ -52,7 +52,7 @@ def test_frame_incidence_invariants(frame):
     # Bbar cap Sigma = Theta; Btilde misses Sigma
     bbar_in_sigma = frame.bbar.ranks[frame.bbar.vecs()[:, -1] == 0]
     assert np.array_equal(np.sort(bbar_in_sigma),
-                          np.sort(frame.theta.point_ranks()))
+                          np.sort(frame.mps.theta.point_ranks()))
     assert np.all(frame.btilde.vecs()[:, -1] != 0)
     assert len(frame.bbar.intersect(frame.btilde)) == 0
 
@@ -171,8 +171,8 @@ def test_t_tilde_batch_matches_definition_scan(frames_q2):
 
 def test_least_h_matches_full_scan(frames_q2):
     for fr in frames_q2:
-        expect = _least_h_by_full_scan(fr.model, fr.gamma_prime, fr.pi)
-        got = ex._least_h(fr.model, fr.gamma_prime, fr.pi)
+        expect = _least_h_by_full_scan(fr.model, fr.mps.gamma_prime, fr.pi)
+        got = ex._least_h(fr.model, fr.mps.gamma_prime, fr.pi)
         assert np.array_equal(got, expect)
         assert np.array_equal(got, fr.h)
 
@@ -180,7 +180,7 @@ def test_least_h_matches_full_scan(frames_q2):
 def test_least_h_needs_a_hyperplane(frame):
     # Gamma has codimension 2 in Sigma'
     with pytest.raises(GeometryError, match="hyperplane"):
-        ex._least_h(frame.model, frame.gamma, frame.pi)
+        ex._least_h(frame.model, frame.mps.gamma, frame.pi)
 
 
 def test_xprime_line_triple(frame):
@@ -197,7 +197,7 @@ def test_xprime_line_triple(frame):
 
 def test_h_outside_solid(frame):
     W = span([frame.model.X, frame.model.Xprime, frame.pi])
-    assert frame.gamma_prime.contains(frame.h)
+    assert frame.mps.gamma_prime.contains(frame.h)
     assert frame.h[-1] != 0
     assert not W.contains(frame.h)
 
@@ -302,7 +302,7 @@ def test_image_counts_match_family_scanner(bundles_q2, oracles_q2):
             assert np.array_equal(cov.counts[sc.ranks], counts[key])
         # the q1 image points of u share a line through X, so a cell through
         # X holds a multiple of q1 (never 1, as tangency_scan relies on)
-        x_ranks, xp_members = ex.family_ranks(fr.model)
+        x_ranks, xp_members = fr.family_ranks
         assert np.all(cov.counts[x_ranks] % fr.model.q1 == 0)
         assert np.array_equal(xp_members, sc.ranks[sc.ht_mask])
         n = fr.model.pi_space.n_points

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockcone import pg
+from blockcone import linalg, pg
 from blockcone.gf import cached_field
 from blockcone.pg import (GeometryError, PointSet, ProjSpace, Subspace,
                           load_point_set, meet, save_point_set, span, span_in)
@@ -189,6 +189,30 @@ def test_subspace_point_enumeration_and_membership():
     assert forms.shape[0] == sp.m - A.dim
     for fvec in forms:
         assert np.all(pg.dot(sp, pts, np.broadcast_to(fvec, pts.shape)) == 0)
+
+
+@pytest.mark.parametrize("m,p,k", [(4, 2, 2), (3, 3, 2)])
+def test_contains_iff_coords_of(m, p, k):
+    # one reduction serves both: v is in the subspace exactly when its
+    # coefficients exist, and they then rebuild v from the generator rows
+    sp = _space(m, p, k)
+    rng = np.random.default_rng([m, p, k])
+    inside = outside = 0
+    for _ in range(30):
+        S = _random_subspace(sp, rng, m)
+        combos = linalg.matmul(rng.integers(0, sp.q, size=(4, S.dim + 1)),
+                               S.mat, sp.field)
+        for v in np.vstack([combos, rng.integers(0, sp.q, size=(4, m + 1))]):
+            if S.contains(v):
+                inside += 1
+                c = S.coords_of(v)
+                assert np.array_equal(linalg.matmul(c[None, :], S.mat,
+                                                    sp.field)[0], v)
+            else:
+                outside += 1
+                with pytest.raises(ValueError, match="not in row space"):
+                    S.coords_of(v)
+    assert inside and outside
 
 
 def test_meet_of_disjoint_lines_is_empty():

@@ -86,8 +86,9 @@ def test_uncovered_sample_matches_dense_scan(m, p, k, size, monkeypatch):
     sp = _space(m, p, k)
     ps = PointSet(sp, np.random.default_rng(size).integers(
         0, sp.n_points, size=size))
-    # a small chunk makes the sample span several chunks
-    monkeypatch.setattr(verify, "_SCAN_CHUNK", 7)
+    # the sample is taken per tile batch; the least batch cap (4 q^2 cells)
+    # makes it span several batches
+    monkeypatch.setattr(verify, "_BATCH", 1)
     cov = verify.blocking_check(ps)
     dense = np.flatnonzero(cov.counts == 0)
     assert cov.uncovered_total == dense.size
