@@ -62,7 +62,7 @@ def cmd_ff(args) -> int:
 
 
 def cmd_construct_mps(args) -> int:
-    model = make_model(args.q1, args.n, args.r, xprime_index=args.xprime_index)
+    model = make_model(args.q1, args.n, args.r)
     frame = mps.frame_make(model, args.s, seed=args.seed)
     bbar = load_point_set(args.bbar)
     if bbar.space != model.sigma_prime:
@@ -70,8 +70,7 @@ def cmd_construct_mps(args) -> int:
     bbar = PointSet(model.sigma_prime, bbar.ranks)
     B = mps.mps_build(frame, bbar)
     config = {"command": "construct mps", "q1": args.q1, "n": args.n,
-              "r": args.r, "s": args.s, "seed": args.seed,
-              "xprime_index": args.xprime_index, "bbar": args.bbar}
+              "r": args.r, "s": args.s, "seed": args.seed, "bbar": args.bbar}
     bundle = {"kind": "mps", "config": config, "manifest": model.manifest(),
               "s": args.s, "seed": args.seed,
               "bbar": [int(x) for x in bbar.ranks],
@@ -93,13 +92,12 @@ def cmd_construct_example36(args) -> int:
 
 
 def cmd_search_fblocking(args) -> int:
-    model = make_model(args.q1, args.n, args.r, xprime_index=args.xprime_index)
+    model = make_model(args.q1, args.n, args.r)
     frame = mps.frame_make(model, args.s, seed=args.seed)
     found = mps.f_search_minimal(frame, args.max_size)
     report = {
         "config": {"command": "search fblocking", "q1": args.q1, "n": args.n,
                    "r": args.r, "s": args.s, "seed": args.seed,
-                   "xprime_index": args.xprime_index,
                    "max_size": args.max_size},
         "manifest": model.manifest(),
         "found": [{"bbar": [int(x) for x in item["bbar"].ranks],
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--r", type=int, required=True)
     pm.add_argument("--s", type=int, required=True)
     pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--xprime-index", type=int, default=1)
     pm.add_argument("--bbar", required=True)
     pm.add_argument("--out")
     pm.set_defaults(func=cmd_construct_mps)
@@ -239,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--r", type=int, required=True)
     pf.add_argument("--s", type=int, required=True)
     pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--xprime-index", type=int, default=1)
     pf.add_argument("--max-size", type=int, required=True)
     pf.add_argument("--out")
     pf.set_defaults(func=cmd_search_fblocking)

@@ -22,8 +22,8 @@ from . import pg, verify
 from .gf import cached_field, is_prime, subfield_embed
 from .linalg import kernel_basis, matmul, rref
 from .model import BCModel, make_model, prime_power
-from .mps import MPSFrame, _inside, _row_space, cone, cone_image_vecs, \
-    member_ranks, mps_build, mps_size_predict
+from .mps import MPSFrame, _inside, cone, cone_image_vecs, frame_make, \
+    member_ranks, mps_build
 from .pg import GeometryError, PointSet, ProjSpace, Subspace, meet, span, span_in
 
 
@@ -94,39 +94,15 @@ class Bundle:
 
 def frame36_make(q: int, seed: int = 0) -> Example36Frame:
     """Deterministic frame for the PG(3, q^6) example: X = element 0,
-    X' = element 1 + (seed mod 8), p = least point of X, Gamma = the least
-    hyperplane of Sigma containing X' and missing p."""
+    X' = element 1 + (seed mod 8), and the MPS frame Omega = {p}, s = 0 of
+    `mps.frame_make` through X': p = least point of X, Gamma = the
+    hyperplane of Sigma of the least form vanishing on X' and not on p."""
     prime_power(q)  # make_model(q * q) alone would accept q = -3
     model = make_model(q * q, 3, 3, xprime_index=1 + seed % 8)
     sp = model.sigma_prime
-    rn = 9
-    p_vec = model.vertex_p
+    frame0 = frame_make(model, 0, through=model.Xprime)
 
-    # duals of Sigma vanishing on X', in rank order: the points of the
-    # subspace of forms vanishing on it
-    sint = ProjSpace(rn - 1, model.tower.sub)
-    xp_int = Subspace(sint, model.Xprime.mat[:, :rn])
-    gamma = None
-    p_int = p_vec[:rn]
-    for f in Subspace(sint, xp_int.dual_forms()).point_vecs():
-        if pg.dot(sint, p_int, f) != 0:
-            gam_int = Subspace(sint, kernel_basis(f[None, :], sint.field),
-                               _canonical=True)
-            gamma = Subspace(
-                sp, np.hstack([gam_int.mat,
-                               np.zeros((gam_int.mat.shape[0], 1),
-                                        dtype=np.int64)]))
-            break
-    if gamma is None:
-        raise GeometryError("no hyperplane of Sigma through X' missing p")
-
-    omega = span_in(sp, [p_vec])
-    theta = meet(gamma, model.X)
-    gamma_prime = span([gamma, pg.unrank(sp, 0)])
-    frame0 = MPSFrame(model, 0, omega, gamma, gamma_prime, theta)
-    frame0.validate()
-
-    theta_pts = theta.point_vecs()
+    theta_pts = frame0.theta.point_vecs()
     r_pt, q_tilde = theta_pts[0], theta_pts[1]
     t = model.Xprime.point_vecs()[0]
     e = pg.unrank(sp, 0)  # the least-rank affine point; lies in Gamma'
@@ -142,12 +118,12 @@ def frame36_make(q: int, seed: int = 0) -> Example36Frame:
                 & set(int(x) for x in L.point_ranks()))
     s_pt = pg.unrank(sp, vl[0])
 
-    bbar = _bbar_build(model, r_pt, V, L, s_pt, theta)
+    bbar = _bbar_build(model, r_pt, V, L, s_pt, frame0.theta_ranks)
 
-    t_tilde = t_tilde_find(model, t, r_pt, p_vec)
+    t_tilde = t_tilde_find(model, t, r_pt, model.vertex_p)
 
     lines_xp = _choose_xprime_lines(model, t, t_tilde)
-    h = _least_h(model, gamma_prime, pi)
+    h = _least_h(model, frame0.gamma_prime, pi)
     btilde = _btilde_build(model, h, lines_xp)
 
     if len(bbar.intersect(btilde)):
@@ -266,7 +242,7 @@ def _unique_real_line_through(pi: Subspace, t: np.ndarray, V: PointSet,
 
 
 def _bbar_build(model: BCModel, r_pt, V: PointSet, L: Subspace, s_pt,
-                theta: Subspace) -> PointSet:
+                theta_ranks: np.ndarray) -> PointSet:
     sp = model.sigma_prime
     q4 = model.q1 ** 2
     base = PointSet(sp, np.append(
@@ -277,8 +253,7 @@ def _bbar_build(model: BCModel, r_pt, V: PointSet, L: Subspace, s_pt,
     aff = int(np.sum(vecs[:, -1] != 0))
     if aff != q4:
         raise GeometryError(f"|Bbar \\ Sigma| = {aff}, expected {q4}")
-    sig = np.sort(bbar.ranks[vecs[:, -1] == 0])
-    if not np.array_equal(sig, np.sort(theta.point_ranks())):
+    if not np.array_equal(bbar.ranks[vecs[:, -1] == 0], theta_ranks):
         raise GeometryError("Bbar cap Sigma != Theta")
     return bbar
 
@@ -388,34 +363,33 @@ def example_build(q: int, seed: int = 0) -> Bundle:
     in PG(3, q^6) coordinates, with the closed-form cardinalities enforced."""
     frame = frame36_make(q, seed)
     bbar_union = frame.bbar.union(frame.btilde)
-    B = mps_build(frame.mps, bbar_union)
+    B = mps_build(frame.mps, bbar_union)  # checks B's size formula
     expect = 4 * q**6 - 3 * q**4 + q**2 + 1
     if len(B) != expect:
         raise GeometryError(f"|B| = {len(B)}, expected {expect}")
-    predicted = mps_size_predict(len(bbar_union), frame.model.q1, 3, 0)
-    assert predicted == expect
     return Bundle(frame=frame, B=B)
 
 
 # ---------------------------------------------------------------------------
 # the hyperplane family of Pi_3, counted on the cone's Pi-image
 
-def _image_ranks(model: BCModel, vecs: np.ndarray) -> np.ndarray:
+def _image_ranks(frame: MPSFrame, vecs: np.ndarray) -> np.ndarray:
     """Ranks of the Pi_r-images u + a.p, a in GF(q1), of the affine rows u of
-    vecs: q1 consecutive ranks per u."""
-    p_rows = _row_space(span_in(model.sigma_prime, [model.vertex_p]))
-    pts = cone_image_vecs(model, p_rows, vecs[vecs[:, -1] != 0])
+    vecs, over the vertex {p} of the example's MPS frame: q1 consecutive
+    ranks per u."""
+    model = frame.model
+    pts = cone_image_vecs(model, frame.omega_rows, vecs[vecs[:, -1] != 0])
     return pg.rank_batch(model.pi_space, pts)
 
 
-def cone_image(model: BCModel, ps: PointSet) -> PointSet:
-    """Pi_r-image of the affine part of the cone K(p, ps): the q1 points
-    u + a.p, a in GF(q1), of each affine point u of ps.  Points of ps inside
-    Sigma are dropped, since their cone lines stay inside Sigma.  Two affine
-    points on one line through p would share their image, so that is
-    refused."""
-    ranks = _image_ranks(model, ps.vecs())
-    image = PointSet(model.pi_space, ranks)
+def cone_image(frame: MPSFrame, ps: PointSet) -> PointSet:
+    """Pi_r-image of the affine part of the cone K(p, ps) over the vertex
+    {p} of the example's MPS frame: the q1 points u + a.p, a in GF(q1), of
+    each affine point u of ps.  Points of ps inside Sigma are dropped, since
+    their cone lines stay inside Sigma.  Two affine points on one line
+    through p would share their image, so that is refused."""
+    ranks = _image_ranks(frame, ps.vecs())
+    image = PointSet(frame.model.pi_space, ranks)
     if len(image) != len(ranks):
         raise GeometryError("two points of the set lie on one line through p")
     return image
@@ -523,7 +497,7 @@ def spectrum_scan(bundle: Bundle) -> dict:
 
     # the histograms of both parts, and of Btilde's on the X'-subfamily
     hist = {k: np.zeros(bt + 1, dtype=np.int64) for k in (*spectra, "ht")}
-    image = cone_image(fr.model, fr.bbar)
+    image = cone_image(fr.mps, fr.bbar)
     for lo, c in verify._Tiles(image.space, image.vecs()).counts():
         hi = lo + c.size
         x, xp = (r[slice(*np.searchsorted(r, (lo, hi)))] - lo
@@ -617,7 +591,7 @@ def tangency_scan(bundle: Bundle) -> dict:
     vecs = union.vecs()
     points = union.ranks[vecs[:, -1] != 0]
     best = np.array([witness.get(r, none) for r in
-                     _image_ranks(model, vecs).tolist()])
+                     _image_ranks(fr.mps, vecs).tolist()])
     best = best.reshape(len(points), model.q1).min(axis=1)
     missing = points[best == none]
     if missing.size:

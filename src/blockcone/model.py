@@ -79,10 +79,6 @@ class Spread:
         return Subspace(self.sigma_space,
                         self.element_generators(index)).point_vecs()
 
-    def element_of_vec(self, vec) -> int:
-        """Spread element index of a Sigma-point (length rn coordinates)."""
-        return int(self.elements_of_vecs(np.asarray(vec)[None, :])[0])
-
     def elements_of_vecs(self, vecs) -> np.ndarray:
         """Spread element indices of nonzero Sigma-vectors, one per row."""
         v = np.asarray(vecs, dtype=np.int64)
@@ -102,6 +98,8 @@ class BCModel:
     """
 
     def __init__(self, tower: FieldTower, r: int, xprime_index: int = 1):
+        if r < 2:  # X' needs a second spread element
+            raise GeometryError(f"need r >= 2, got r = {r}")
         self.tower = tower
         self.n = tower.n
         self.r = r
@@ -131,12 +129,6 @@ class BCModel:
     def element_subspace(self, index: int) -> Subspace:
         return Subspace(self.sigma_prime,
                         self._lift(self.spread.element_generators(index)))
-
-    def spread_element_of(self, vec) -> int:
-        v = np.asarray(vec, dtype=np.int64)
-        if v[-1] != 0:
-            raise GeometryError("point is not in Sigma")
-        return self.spread.element_of_vec(v[:-1])
 
     # -- the two-way point map ----------------------------------------------
 
@@ -201,7 +193,8 @@ class BCModel:
         inside a single element."""
         if line.dim != 1 or not self.sigma.contains_sub(line):
             raise GeometryError("expected a line inside Sigma")
-        idx = sorted({self.spread_element_of(v) for v in line.point_vecs()})
+        idx = sorted(set(self.spread.elements_of_vecs(
+            line.point_vecs()[:, :-1]).tolist()))
         if len(idx) == 1:
             raise GeometryError("line is contained in a spread element")
         return tuple(idx)

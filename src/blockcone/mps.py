@@ -97,15 +97,23 @@ class MPSFrame:
         return pg.rank_of(model.pi_space, model.spread_to_pg_vec(model.x_index))
 
 
-def frame_make(model: BCModel, s: int, seed: int = 0) -> MPSFrame:
+def frame_make(model: BCModel, s: int, seed: int = 0,
+               through: Subspace | None = None) -> MPSFrame:
     """Deterministic frame: Omega spans the first s+1 independent points of X;
-    Gamma is cut out of Sigma by greedily chosen least-rank hyperplane forms,
-    each stripping one dimension off the remaining Omega part; Gamma' extends
+    Gamma is cut out of Sigma by greedily chosen least-rank hyperplane forms
+    vanishing on `through` (a subspace of Sigma, empty by default), each
+    stripping one dimension off the remaining Omega part; Gamma' extends
     Gamma by the least-rank affine point.  The seed rotates search starts,
     so consecutive seeds can give the same frame: on (q1, n, r, s) =
-    (2, 2, 2, 0) seeds 1 and 2, 3 and 4, ... coincide."""
+    (2, 2, 2, 0) seeds 1 and 2, 3 and 4, ... coincide.
+
+    The forms vanishing on `through` are c @ K for K its RREF kernel basis
+    and c over the canonical coefficient vectors, walked lazily in rank
+    order: the map keeps rank order (`Subspace.point_vecs`)."""
     if not (0 <= s <= model.n - 2):
         raise GeometryError("need 0 <= s <= n-2")
+    if through is None:
+        through = Subspace.empty(model.sigma_prime)
     rn = model.r * model.n
     xp = model.X.point_vecs()
     rows = [xp[0]]
@@ -120,14 +128,16 @@ def frame_make(model: BCModel, s: int, seed: int = 0) -> MPSFrame:
 
     sint = ProjSpace(rn - 1, model.tower.sub)
     omega_int = Subspace(sint, omega.mat[:, :rn])
+    kernel = kernel_basis(through.mat[:, :rn], sint.field)
+    coeff = ProjSpace(kernel.shape[0] - 1, sint.field)
     forms: list[np.ndarray] = []
     part = omega_int  # remaining part of Omega not yet cut away
-    n_duals = sint.n_points
+    n_duals = coeff.n_points
     offset = seed % n_duals
     for _ in range(s + 1):
-        found = False
         for d in range(n_duals):
-            f = pg.unrank(sint, (d + offset) % n_duals)
+            c = pg.unrank(coeff, (d + offset) % n_duals)
+            f = matmul(c[None, :], kernel, sint.field)[0]
             if forms:
                 stackd = np.vstack(forms + [f])
                 if Subspace(sint, stackd).dim != len(forms):
@@ -137,16 +147,13 @@ def frame_make(model: BCModel, s: int, seed: int = 0) -> MPSFrame:
             if not np.any(vals):
                 continue
             forms.append(f)
-            found = True
             break
-        if not found:
-            raise GeometryError("no admissible Gamma (cannot happen)")
+        else:
+            raise GeometryError("no admissible Gamma")
         gam_int = Subspace(sint, kernel_basis(np.vstack(forms), sint.field),
                            _canonical=True)
         part = meet(gam_int, omega_int)
-    gamma = Subspace(model.sigma_prime,
-                     np.hstack([gam_int.mat,
-                                np.zeros((gam_int.mat.shape[0], 1), dtype=np.int64)]))
+    gamma = Subspace(model.sigma_prime, model._lift(gam_int.mat))
     affine = pg.unrank(model.sigma_prime, 0)  # (0,...,0,1)
     gamma_prime = span([gamma, affine])
     theta = meet(gamma, model.X)
@@ -219,7 +226,7 @@ def _affine_part(frame: MPSFrame, bbar: PointSet) -> np.ndarray:
         raise GeometryError("Bbar must live in Sigma'")
     vecs = bbar.vecs()
     in_sigma = vecs[:, -1] == 0
-    if not np.array_equal(np.sort(bbar.ranks[in_sigma]), frame.theta_ranks):
+    if not np.array_equal(bbar.ranks[in_sigma], frame.theta_ranks):
         raise GeometryError("Bbar cap Sigma != Theta")
     if not _inside(frame.gamma_prime_forms, vecs, bbar.space.field).all():
         raise GeometryError("Bbar is not contained in Gamma'")

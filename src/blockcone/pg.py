@@ -322,15 +322,18 @@ class Subspace:
         return (q ** (self.dim + 1) - 1) // (q - 1)
 
     def point_vecs(self) -> np.ndarray:
-        """All canonical point vectors of the subspace (rank-sorted)."""
-        if self.dim < 0:
-            return np.zeros((0, self.space.m + 1), dtype=np.int64)
+        """All canonical point vectors of the subspace, in rank order.
+
+        c -> c @ mat over the canonical coefficient vectors c in rank order,
+        with no sort: as mat is RREF, c @ mat is c_i on the i-th pivot
+        column, and its columns before that pivot depend on c_0..c_(i-1)
+        only.  So where two c first differ, their images first differ, by
+        the same values.  The map keeps lexicographic order, which is rank
+        order on canonical vectors, and maps a canonical c to a canonical
+        vector."""
         coeff_space = ProjSpace(self.dim, self.space.field)
         coeffs = unrank_batch(coeff_space, np.arange(coeff_space.n_points))
-        vecs = linalg.matmul(coeffs, self.mat, self.space.field)
-        vecs = normalize_batch(self.space, vecs)
-        order = np.argsort(rank_batch(self.space, vecs))
-        return vecs[order]
+        return linalg.matmul(coeffs, self.mat, self.space.field)
 
     def point_ranks(self) -> np.ndarray:
         vecs = self.point_vecs()

@@ -420,14 +420,14 @@ def test_search_and_construct_mps_flow(tmp_path):
     assert rc == 0
 
 
-# sha256 of the standard output of `blockcone search fblocking` (seed 0,
-# X' index 1), pinned so that a change to the search which moves its order,
-# its sets or their triviality flags fails here across trees
+# sha256 of the standard output of `blockcone search fblocking` (seed 0),
+# pinned so that a change to the search which moves its order, its sets or
+# their triviality flags fails here across trees
 _GOLDEN_SEARCHES = {
     ("2", "2", "2", "0", "9"):
-        "d51b583020ad034fb2ecdf6953b70a30af5b0ff662f1ca2b7c54cccdab8fcd9a",
+        "9ecd234995561d95b111ffd7f41279160e82c7f03c3ebb09971cd6076cf4c08c",
     ("3", "2", "2", "0", "6"):
-        "abe09ebe97a66e296a39956ec800e5eddd4f9a21a1c51df57e71eb927ae09033",
+        "067630f9b506276bb583493c14760cf9304334d932785da7a595f1346746aa61",
 }
 
 
@@ -455,6 +455,39 @@ def test_search_output_matches_golden_hash(config, capsys):
 def test_non_prime_power_order_exits_2(argv, capsys):
     assert run(argv) == 2
     assert "not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "mps", "--q1", "2", "--n", "2", "--r", "2", "--s", "0",
+     "--xprime-index", "2", "--bbar", "unused.txt"],
+    ["search", "fblocking", "--q1", "2", "--n", "2", "--r", "2", "--s", "0",
+     "--xprime-index", "2", "--max-size", "3"],
+])
+def test_xprime_index_option_is_refused(argv):
+    # the cone construction never reads X', so neither command takes it
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("r", ["-1", "0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bundle", "small_r.json"],
+    ["search", "fblocking", "--q1", "2", "--n", "2", "--s", "0",
+     "--max-size", "3"],
+    ["construct", "mps", "--q1", "2", "--n", "2", "--s", "0",
+     "--bbar", "unused.txt"],
+])
+def test_r_below_2_exits_2(argv, r, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small_r.json").write_text(json.dumps(
+        {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": int(r),
+                                     "xprime_index": 1}, "B": [0, 1]}))
+    if argv[0] != "verify":
+        argv = argv + ["--r", r]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"got r = {r}" in err[0]
 
 
 @pytest.mark.parametrize("argv", [

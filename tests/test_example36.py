@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blockcone import example36 as ex
-from blockcone import pg, verify
+from blockcone import linalg, pg, verify
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
 
 
@@ -159,6 +159,24 @@ def frames_q2(bundles_q2):
     return [b.frame for b in bundles_q2]
 
 
+def test_gamma_is_least_form_through_xprime_missing_p(frames_q2):
+    # dense scan of all 87,381 forms of Sigma = PG(8, 4), against the
+    # frame's lazy walk over the forms vanishing on X'
+    sint = pg.ProjSpace(8, frames_q2[0].model.tower.sub)
+    forms = pg.unrank_batch(sint, np.arange(sint.n_points))
+    for fr in frames_q2:
+        model = fr.model
+        on_xp = ~linalg.matmul(forms, model.Xprime.mat[:, :9].T,
+                               sint.field).any(axis=1)
+        off_p = pg.dot(sint, forms, np.broadcast_to(model.vertex_p[:9],
+                                                     forms.shape)) != 0
+        least = forms[np.argmax(on_xp & off_p)]
+        gamma = fr.mps.gamma
+        assert not gamma.mat[:, 9].any()
+        assert np.array_equal(
+            pg.Subspace(sint, gamma.mat[:, :9]).dual_forms(), least[None, :])
+
+
 def test_t_tilde_batch_matches_definition_scan(frames_q2):
     for fr in frames_q2:
         m = fr.model
@@ -298,7 +316,7 @@ def test_image_counts_match_family_scanner(bundles_q2, oracles_q2):
         fr = b.frame
         for key, ps in (("bbar", fr.bbar), ("btilde", fr.btilde),
                         ("union", fr.bbar.union(fr.btilde))):
-            cov = verify.blocking_check(ex.cone_image(fr.model, ps))
+            cov = verify.blocking_check(ex.cone_image(fr.mps, ps))
             assert np.array_equal(cov.counts[sc.ranks], counts[key])
         # the q1 image points of u share a line through X, so a cell through
         # X holds a multiple of q1 (never 1, as tangency_scan relies on)
@@ -346,7 +364,7 @@ def test_cone_image_refuses_shared_lines(bundle):
     other = f.add_table[u, f.mul_table[1, m.vertex_p]]
     ps = PointSet.from_vecs(m.sigma_prime, [u, other])
     with pytest.raises(GeometryError, match="line through p"):
-        ex.cone_image(m, ps)
+        ex.cone_image(fr.mps, ps)
 
 
 @pytest.fixture(scope="module")
@@ -408,14 +426,14 @@ def test_q3_tangency_witnesses(bundle_q3):
     ws = res["witnesses"]
     assert res["count"] == len(ws) == 4 * q**4 - 3 * q**2 + 1
     union = fr.bbar.union(fr.btilde)
-    image = ex.cone_image(model, union)
+    image = ex.cone_image(fr.mps, union)
     duals = pg.unrank_batch(sp, np.array([w["witness"] for w in ws]))
     on = np.stack([pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0
                    for v in image.vecs()], axis=1)
     x = model.spread_to_pg_vec(model.x_index)
     xp = model.spread_to_pg_vec(model.xprime_index)
     for i, w in enumerate(ws):
-        own = ex.cone_image(model, PointSet(model.sigma_prime, [w["point"]]))
+        own = ex.cone_image(fr.mps, PointSet(model.sigma_prime, [w["point"]]))
         assert on[i].sum() == 1 and image.ranks[on[i]][0] in own
         assert pg.dot(sp, duals[i], x) != 0
         through_xp = bool(pg.dot(sp, duals[i], xp) == 0)

@@ -92,7 +92,7 @@ def test_element_of_vec_inverts_enumeration(big):
     for i in rng.integers(0, big.spread.n_elements, size=25):
         vecs = big.spread.element_point_vecs(int(i))
         for v in vecs[:: max(1, len(vecs) // 4)]:
-            assert big.spread.element_of_vec(v) == i
+            assert big.spread.elements_of_vecs(v[None, :])[0] == i
 
 
 @pytest.mark.parametrize("fix", ["tiny", "big"])
@@ -147,7 +147,7 @@ def is_pi_line(model, S: Subspace) -> bool:
     if inf.dim != model.n - 1:
         return False
     pts = inf.point_vecs()
-    return len({model.spread_element_of(v) for v in pts}) == 1
+    return len(set(model.spread.elements_of_vecs(pts[:, :-1]).tolist())) == 1
 
 
 @pytest.mark.parametrize("fix", ["tiny", "big"])
@@ -195,7 +195,7 @@ def test_sigma_and_frame_choices(big):
     assert meet(big.X, big.Xprime).dim == -1
     assert big.X.contains(big.vertex_p)
     # X is the element through the rank-0 big point, p its least point
-    assert big.spread_element_of(big.X.point_vecs()[0]) == 0
+    assert big.spread.elements_of_vecs(big.X.point_vecs()[:1, :-1])[0] == 0
     man = big.manifest()
     for key in ("q1", "n", "r", "small_modulus", "big_modulus", "basis",
                 "x_index", "xprime_index", "vertex_p"):

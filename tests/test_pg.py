@@ -191,6 +191,24 @@ def test_subspace_point_enumeration_and_membership():
         assert np.all(pg.dot(sp, pts, np.broadcast_to(fvec, pts.shape)) == 0)
 
 
+@pytest.mark.parametrize("m,p,k", [(5, 2, 1), (4, 3, 1), (4, 2, 2),
+                                   (3, 2, 3), (3, 3, 2)])
+def test_point_vecs_canonical_in_rank_order(m, p, k):
+    # c -> c @ mat keeps rank order and canonical form for an RREF mat, so
+    # the point list needs no normalization and no sort
+    sp = _space(m, p, k)
+    rng = np.random.default_rng([m, p, k])
+    every = pg.unrank_batch(sp, np.arange(sp.n_points))
+    subspaces = [Subspace.empty(sp), Subspace.full(sp)]
+    subspaces += [_random_subspace(sp, rng, m + 1) for _ in range(20)]
+    for S in subspaces:
+        vecs = S.point_vecs()
+        assert np.array_equal(pg.normalize_batch(sp, vecs), vecs)
+        assert np.all(np.diff(pg.rank_batch(sp, vecs)) > 0)
+        inside = ~linalg.matmul(every, S.dual_forms().T, sp.field).any(axis=1)
+        assert np.array_equal(vecs, every[inside])
+
+
 @pytest.mark.parametrize("m,p,k", [(4, 2, 2), (3, 3, 2)])
 def test_contains_iff_coords_of(m, p, k):
     # one reduction serves both: v is in the subspace exactly when its
