@@ -67,7 +67,6 @@ def cmd_construct_mps(args) -> int:
     bbar = load_point_set(args.bbar)
     if bbar.space != model.sigma_prime:
         raise GeometryError("Bbar file does not live in the model's Sigma'")
-    bbar = PointSet(model.sigma_prime, bbar.ranks)
     B = mps.mps_build(frame, bbar)
     config = {"command": "construct mps", "q1": args.q1, "n": args.n,
               "r": args.r, "s": args.s, "seed": args.seed, "bbar": args.bbar}
@@ -121,10 +120,8 @@ def _load_any_bundle(path):
     if kind == "mps":
         pg.check_fields(data, path, int_lists=("B",))
         man = data.get("manifest")
-        pg.check_fields(man, f"{path}: manifest",
-                        ints=("q1", "n", "r", "xprime_index"))
-        model = make_model(man["q1"], man["n"], man["r"],
-                           xprime_index=man["xprime_index"])
+        pg.check_fields(man, f"{path}: manifest", ints=("q1", "n", "r"))
+        model = make_model(man["q1"], man["n"], man["r"])
         B = PointSet(model.pi_space, np.array(data["B"], dtype=np.int64))
         return B, man, None
     raise GeometryError(f"unknown bundle kind {kind!r} in {path}")

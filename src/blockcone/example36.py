@@ -32,6 +32,8 @@ class Example36Frame:
     q: int
     seed: int
     model: BCModel
+    xprime_index: int      # X' = the spread element 1 + (seed mod 8)
+    Xprime: Subspace
     mps: MPSFrame          # Omega = {p}, s = 0
     r_pt: np.ndarray       # least-rank point of Theta (cone vertex)
     q_tilde: np.ndarray    # second point of Theta
@@ -47,20 +49,18 @@ class Example36Frame:
     btilde: PointSet       # Sigma' ranks
 
     @cached_property
-    def family_ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X-ranks, X'-subfamily), both sorted and read-only, computed once
-        per frame for the spectra, the structural checks and tangency: X's
-        dual ranks from the MPS frame, which are exactly the ranks outside
-        the family, and the ranks of the family members through the point
-        of X'."""
+    def xprime_members(self) -> np.ndarray:
+        """The X'-subfamily, sorted and read-only, computed once per frame
+        for the spectra, the structural checks and tangency: the ranks of
+        the family members (the ranks outside the MPS frame's `x_ranks`)
+        through the point of X'."""
         model = self.model
-        x_ranks = self.mps.x_ranks
-        xp_members = np.setdiff1d(
+        ranks = np.setdiff1d(
             pg.incident_dual_ranks(
-                model.pi_space, model.spread_to_pg_vec(model.xprime_index)),
-            x_ranks, assume_unique=True)
-        xp_members.setflags(write=False)
-        return x_ranks, xp_members
+                model.pi_space, model.spread_to_pg_vec(self.xprime_index)),
+            self.mps.x_ranks, assume_unique=True)
+        ranks.setflags(write=False)
+        return ranks
 
 
 @dataclass(eq=False)
@@ -77,8 +77,12 @@ class Bundle:
         fr = self.frame
         m = fr.model
         sp = m.sigma_prime
+        man = m.manifest()
+        vertex_p = man.pop("vertex_p")  # keeps the bundles' key order
         return {
-            **m.manifest(),
+            **man,
+            "xprime_index": fr.xprime_index,
+            "vertex_p": vertex_p,
             "q": fr.q,
             "seed": fr.seed,
             "sizes": {"bbar": len(fr.bbar), "btilde": len(fr.btilde),
@@ -98,13 +102,15 @@ def frame36_make(q: int, seed: int = 0) -> Example36Frame:
     `mps.frame_make` through X': p = least point of X, Gamma = the
     hyperplane of Sigma of the least form vanishing on X' and not on p."""
     prime_power(q)  # make_model(q * q) alone would accept q = -3
-    model = make_model(q * q, 3, 3, xprime_index=1 + seed % 8)
+    model = make_model(q * q, 3, 3)
     sp = model.sigma_prime
-    frame0 = frame_make(model, 0, through=model.Xprime)
+    xprime_index = 1 + seed % 8
+    Xprime = model.element_subspace(xprime_index)
+    frame0 = frame_make(model, 0, through=Xprime)
 
     theta_pts = frame0.theta.point_vecs()
     r_pt, q_tilde = theta_pts[0], theta_pts[1]
-    t = model.Xprime.point_vecs()[0]
+    t = Xprime.point_vecs()[0]
     e = pg.unrank(sp, 0)  # the least-rank affine point; lies in Gamma'
     pi = span_in(sp, [t, q_tilde, e])
     tangent = span_in(sp, [t, q_tilde])
@@ -113,24 +119,25 @@ def frame36_make(q: int, seed: int = 0) -> Example36Frame:
 
     V = baer_subplane(pi, q_tilde, tangent, q, seed=seed)
 
-    L = _unique_real_line_through(pi, t, V, q)
+    L = _unique_real_line_through(t, V, q)
     vl = sorted(set(int(x) for x in V.ranks)
                 & set(int(x) for x in L.point_ranks()))
     s_pt = pg.unrank(sp, vl[0])
 
     bbar = _bbar_build(model, r_pt, V, L, s_pt, frame0.theta_ranks)
 
-    t_tilde = t_tilde_find(model, t, r_pt, model.vertex_p)
+    t_tilde = t_tilde_find(model, Xprime, t, r_pt, model.vertex_p)
 
-    lines_xp = _choose_xprime_lines(model, t, t_tilde)
-    h = _least_h(model, frame0.gamma_prime, pi)
+    lines_xp = _choose_xprime_lines(Xprime, t, t_tilde)
+    h = _least_h(model, Xprime, frame0.gamma_prime, pi)
     btilde = _btilde_build(model, h, lines_xp)
 
     if len(bbar.intersect(btilde)):
         raise GeometryError("Bbar and Btilde are not disjoint")
-    return Example36Frame(q=q, seed=seed, model=model, mps=frame0,
-                          r_pt=r_pt, q_tilde=q_tilde, t=t, pi=pi, V=V, L=L,
-                          s_pt=s_pt, t_tilde=t_tilde, h=h,
+    return Example36Frame(q=q, seed=seed, model=model,
+                          xprime_index=xprime_index, Xprime=Xprime,
+                          mps=frame0, r_pt=r_pt, q_tilde=q_tilde, t=t, pi=pi,
+                          V=V, L=L, s_pt=s_pt, t_tilde=t_tilde, h=h,
                           lines_xp=lines_xp, bbar=bbar, btilde=btilde)
 
 
@@ -220,17 +227,10 @@ def line_class(line: Subspace, target: PointSet, q: int,
     raise GeometryError(f"broken frame: line meets target in {hits} points")
 
 
-def _unique_real_line_through(pi: Subspace, t: np.ndarray, V: PointSet,
-                              q: int) -> Subspace:
-    space = pi.space
-    lines = []
-    seen = set()
-    for v in pi.point_vecs():
-        L = span_in(space, [t, v])
-        if L.dim != 1 or L in seen:
-            continue
-        seen.add(L)
-        lines.append(L)
+def _unique_real_line_through(t: np.ndarray, V: PointSet, q: int) -> Subspace:
+    """The one real line through t, a point of V's plane off V: a real line
+    meets V, so it is among the spans of t with V's points."""
+    lines = {span_in(V.space, [t, v]) for v in V.vecs()}
     real = [L for L in lines if line_class(L, V, q)[0] == "real"]
     if len(real) != 1:
         raise GeometryError(f"expected one real line through t, got {len(real)}")
@@ -258,7 +258,8 @@ def _bbar_build(model: BCModel, r_pt, V: PointSet, L: Subspace, s_pt,
     return bbar
 
 
-def t_tilde_find(model: BCModel, t, r_pt, p_vec) -> np.ndarray:
+def t_tilde_find(model: BCModel, Xprime: Subspace, t, r_pt,
+                 p_vec) -> np.ndarray:
     """The unique point of X' \\ {t} lying, over the vertex p, above the
     regulus of the line <t, r_pt>, cross-checked against the regulus
     characterization.
@@ -275,7 +276,7 @@ def t_tilde_find(model: BCModel, t, r_pt, p_vec) -> np.ndarray:
     line_tr = span_in(sp, [t, r_pt])
     reg = set(model.regulus_of_line(line_tr))
 
-    xp_pts = model.Xprime.point_vecs()
+    xp_pts = Xprime.point_vecs()
     ys = xp_pts[np.any(xp_pts != t, axis=1)]
     minus_ap = f.neg_table[f.mul_table[np.arange(f.q)[:, None],
                                        p_vec[None, :rn]]]  # (q1, rn)
@@ -294,12 +295,11 @@ def t_tilde_find(model: BCModel, t, r_pt, p_vec) -> np.ndarray:
     return t_tilde
 
 
-def _choose_xprime_lines(model: BCModel, t, t_tilde):
+def _choose_xprime_lines(xp: Subspace, t, t_tilde):
     """First three lines of X' (internal dual-rank order) avoiding t and
     t_tilde with empty common intersection."""
-    sp = model.sigma_prime
-    xp = model.Xprime
-    f = model.tower.sub
+    sp = xp.space
+    f = sp.field
     int_space = ProjSpace(2, f)
     t_c = xp.coords_of(t)
     tt_c = xp.coords_of(t_tilde)
@@ -323,7 +323,8 @@ def _choose_xprime_lines(model: BCModel, t, t_tilde):
     raise GeometryError("no admissible line triple in X'")
 
 
-def _least_h(model: BCModel, gamma_prime: Subspace, pi: Subspace) -> np.ndarray:
+def _least_h(model: BCModel, Xprime: Subspace, gamma_prime: Subspace,
+             pi: Subspace) -> np.ndarray:
     """Least-rank point of Gamma' outside Sigma and outside <X, X', pi>.
 
     Gamma' is a hyperplane of Sigma' with form g, so its points are the duals
@@ -336,7 +337,7 @@ def _least_h(model: BCModel, gamma_prime: Subspace, pi: Subspace) -> np.ndarray:
     g = gamma_prime.dual_forms()
     if g.shape[0] != 1:
         raise GeometryError("Gamma' is not a hyperplane of Sigma'")
-    w_forms = span([model.X, model.Xprime, pi]).dual_forms()
+    w_forms = span([model.X, Xprime, pi]).dual_forms()
     for ranks in pg.hyperplane_point_ranks(sp, g[0]):
         vecs = pg.unrank_batch(sp, ranks)
         ok = (vecs[:, -1] != 0) & ~_inside(w_forms, vecs, sp.field)
@@ -409,8 +410,8 @@ class FamilyScanner:
     u's coordinate blocks, u lies in S7 iff F(u) is a GF(q^2)-multiple of
     F(p), F(p) never being zero because p sits on X which H misses."""
 
-    def __init__(self, model: BCModel):
-        self.model = model
+    def __init__(self, frame: Example36Frame):
+        self.model = model = frame.model
         sp = model.pi_space
         # int64 indices and ranks of the members, then their int64 duals:
         # about 18.6 GB at q = 3
@@ -421,7 +422,7 @@ class FamilyScanner:
             sp, model.spread_to_pg_vec(model.x_index))
         self.ranks = member_ranks(x_ranks, np.arange(members))
         self.duals = pg.unrank_batch(sp, self.ranks)
-        xp_vec = model.spread_to_pg_vec(model.xprime_index)
+        xp_vec = model.spread_to_pg_vec(frame.xprime_index)
         self.ht_mask = pg.dot(sp, self.duals,
                               np.broadcast_to(xp_vec, self.duals.shape)) == 0
         sup = model.tower.sup
@@ -480,7 +481,7 @@ def spectrum_scan(bundle: Bundle) -> dict:
     fr = bundle.frame
     q, bt = fr.q, len(fr.btilde)
     counts = _cone_count(bundle).counts
-    x_ranks, xp_members = fr.family_ranks
+    x_ranks, xp_members = fr.mps.x_ranks, fr.xprime_members
     spectra = {"bbar": {0, 1, q, q + 1}, "btilde": {0, 1, 2, 3, q * q, bt}}
 
     def histogram(part, c, lo, x):  # x: the batch's cells through X
@@ -530,12 +531,12 @@ def structural_checks(bundle: Bundle) -> dict:
     fr = bundle.frame
     model = fr.model
     sp = model.sigma_prime
-    x_ranks, xp_members = fr.family_ranks
+    x_ranks, xp_members = fr.mps.x_ranks, fr.xprime_members
     rng = np.random.default_rng(0)
     S3 = span([fr.pi, fr.r_pt])
     cone_v = cone(span_in(sp, [fr.r_pt]), fr.V)
     trs = span_in(sp, [fr.t, fr.r_pt, fr.s_pt])
-    btilde_span = span([model.Xprime, fr.h])
+    btilde_span = span([fr.Xprime, fr.h])
     # the members off the X'-subfamily are the ranks missing from both
     # (disjoint) lists
     xp = rng.choice(xp_members, size=_STRUCTURAL_HALF, replace=False)
@@ -597,9 +598,8 @@ def tangency_scan(bundle: Bundle) -> dict:
     if missing.size:
         raise GeometryError(
             f"points without tangent witness: {missing.tolist()}")
-    _, xp_members = fr.family_ranks
     in_bbar = verify.in_sorted(fr.bbar.ranks, points)
-    in_family = verify.in_sorted(xp_members, best)
+    in_family = verify.in_sorted(fr.xprime_members, best)
     wrong = np.flatnonzero(in_family != in_bbar)
     if wrong.size:
         i = wrong[0]

@@ -32,10 +32,10 @@ def prime_power(q: int) -> tuple[int, int]:
     raise GeometryError(f"{q} is not a prime power")
 
 
-def make_model(q1: int, n: int, r: int, xprime_index: int = 1) -> "BCModel":
+def make_model(q1: int, n: int, r: int) -> "BCModel":
     """Build the model for PG(r, q1^n) from the small-field order q1."""
     p, t = prime_power(q1)
-    return BCModel(cached_tower(p, t, n), r, xprime_index)
+    return BCModel(cached_tower(p, t, n), r)
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,6 @@ class Spread:
     @property
     def big_space(self) -> ProjSpace:
         return ProjSpace(self.r - 1, self.tower.sup)
-
-    @property
-    def n_elements(self) -> int:
-        return self.big_space.n_points
 
     def element_generators(self, index: int) -> np.ndarray:
         """(n, rn) basis of one element: the Sigma-coordinates of b_k.x for
@@ -92,13 +88,12 @@ class Spread:
 class BCModel:
     """The Barlotti-Cofman frame Pi_r(Sigma', Sigma, S) ~ PG(r, q1^n).
 
-    Immutable after construction; X is the spread element of big-point rank 0,
-    X' (used by the cone example) a second element selected by `xprime_index`,
+    Immutable after construction; X is the spread element of big-point rank 0
     and the vertex point p the least-rank point of X.
     """
 
-    def __init__(self, tower: FieldTower, r: int, xprime_index: int = 1):
-        if r < 2:  # X' needs a second spread element
+    def __init__(self, tower: FieldTower, r: int):
+        if r < 2:  # PG(1, q1^n) is blocked only by all of its points
             raise GeometryError(f"need r >= 2, got r = {r}")
         self.tower = tower
         self.n = tower.n
@@ -112,11 +107,7 @@ class BCModel:
         sig[:, : r * n] = np.eye(r * n, dtype=np.int64)
         self.sigma = Subspace(self.sigma_prime, sig)
         self.x_index = 0
-        if not 0 < xprime_index < self.spread.n_elements:
-            raise GeometryError("invalid X' index")
-        self.xprime_index = xprime_index
         self.X = self.element_subspace(self.x_index)
-        self.Xprime = self.element_subspace(self.xprime_index)
         self.vertex_p = self.X.point_vecs()[0]
 
     # -- spread elements in Sigma' coordinates ------------------------------
@@ -208,6 +199,5 @@ class BCModel:
             "big_modulus": self.tower.sup.manifest(),
             "basis": list(self.tower.basis),
             "x_index": self.x_index,
-            "xprime_index": self.xprime_index,
             "vertex_p": self.vertex_p.tolist(),
         }

@@ -138,16 +138,11 @@ def frame_make(model: BCModel, s: int, seed: int = 0,
         for d in range(n_duals):
             c = pg.unrank(coeff, (d + offset) % n_duals)
             f = matmul(c[None, :], kernel, sint.field)[0]
-            if forms:
-                stackd = np.vstack(forms + [f])
-                if Subspace(sint, stackd).dim != len(forms):
-                    continue
-            # the form must not vanish on all of the remaining Omega part
-            vals = pg.dot(sint, part.mat, np.broadcast_to(f, part.mat.shape))
-            if not np.any(vals):
-                continue
-            forms.append(f)
-            break
+            # the form must not vanish on all of the remaining Omega part;
+            # every chosen form does, so such a form is independent of them
+            if pg.dot(sint, part.mat, np.broadcast_to(f, part.mat.shape)).any():
+                forms.append(f)
+                break
         else:
             raise GeometryError("no admissible Gamma")
         gam_int = Subspace(sint, kernel_basis(np.vstack(forms), sint.field),
@@ -304,8 +299,8 @@ def f_search_minimal(frame: MPSFrame, max_size: int) -> list[dict]:
     if gp.n_points() > 40:
         raise GeometryError("Gamma' too large for exhaustive search")
     theta_ranks = frame.theta_ranks
-    sigma_part = meet(gp, frame.model.sigma).point_ranks()
-    affine = np.setdiff1d(gp.point_ranks(), sigma_part, assume_unique=True)
+    affine = np.setdiff1d(gp.point_ranks(), frame.gamma.point_ranks(),
+                          assume_unique=True)  # Gamma' cap Sigma = Gamma
     members, masks = _family_masks(frame, pg.unrank_batch(gp.space, affine))
     covers = _minimal_covers(masks, (1 << len(members)) - 1,
                              max_size - len(theta_ranks))

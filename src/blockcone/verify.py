@@ -80,10 +80,6 @@ class MinimalityResult:
         return not self.inessential
 
 
-def _checksum(ps: PointSet) -> int:
-    return hash((ps.space, ps.ranks.tobytes()))
-
-
 def _first(cells: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Per row, the cell at the first True of `hit`, or -1."""
     pos = hit.argmax(axis=1)
@@ -262,7 +258,7 @@ def blocking_check(ps: PointSet) -> CoverageResult:
         counts=counts,
         uncovered_total=uncovered_total,
         uncovered_sample=sample,
-        checksum=_checksum(ps),
+        checksum=hash(ps),
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         tangents=tiles.best,
     )
@@ -272,7 +268,7 @@ def minimality_check(ps: PointSet, coverage: CoverageResult) -> MinimalityResult
     """A point is essential iff some hyperplane through it has count exactly
     1; the least such hyperplane is its tangent witness, which
     `blocking_check`'s walk found."""
-    if coverage.checksum != _checksum(ps):
+    if coverage.checksum != hash(ps):
         raise ValueError("coverage array does not belong to this point set")
     t0 = time.perf_counter()
     best = coverage.tangents

@@ -106,11 +106,11 @@ def test_criterion_05_spectrum_theorems():
 def test_criterion_06_lemma3_unique_t_tilde():
     fr = _bundle().frame
     m = fr.model
-    n_xprime = len(m.Xprime.point_ranks())
+    n_xprime = len(fr.Xprime.point_ranks())
     # t_tilde_find raises unless the direct scan yields exactly one point and
     # the regulus characterization agrees
     try:
-        tt = ex.t_tilde_find(m, fr.t, fr.r_pt, m.vertex_p)
+        tt = ex.t_tilde_find(m, fr.Xprime, fr.t, fr.r_pt, m.vertex_p)
         ok = n_xprime == 21 and np.array_equal(tt, fr.t_tilde)
         detail = f"1 qualifier among {n_xprime} X' points, scans agree"
     except Exception as exc:

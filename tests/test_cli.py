@@ -51,6 +51,7 @@ def bundle_path(tmp_path_factory):
 def test_construct_example36_bundle(bundle_path):
     data = json.loads(bundle_path.read_text())
     assert data["kind"] == "example36"
+    assert data["manifest"]["xprime_index"] == 1  # 1 + seed mod 8
     assert len(data["B"]) == 213
     assert len(data["bbar"]) == 21 and len(data["btilde"]) == 37
     assert data["manifest"]["sizes"]["B"] == 213
@@ -104,7 +105,7 @@ def test_verify_spectrum_runs_structural_checks_once(bundle_path, tmp_path,
 
 def test_verify_computes_family_ranks_once(bundle_path, tmp_path,
                                            monkeypatch):
-    # the X-ranks and the X'-subfamily depend only on the model: the two
+    # the X-ranks and the X'-subfamily depend only on the frame: the two
     # spectra, the structural checks and tangency share one computation, and
     # X's ranks come from the MPS frame alone; so one verify lists the duals
     # through a point twice, for X and for X'
@@ -247,11 +248,11 @@ def test_malformed_example_bundle_exits_2(bundle_path, tmp_path, capsys,
 @pytest.mark.parametrize("edit", [
     {"manifest": None}, {"B": None}, {"manifest": {"q1": 2}},
     {"B": [0, 1.5]},
-    {"manifest": {"q1": 1, "n": 2, "r": 2, "xprime_index": 1}},
+    {"manifest": {"q1": 1, "n": 2, "r": 2}},
 ])
 def test_malformed_mps_bundle_exits_2(tmp_path, capsys, edit):
-    data = {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": 2,
-                                        "xprime_index": 1}, "B": [0, 1]}
+    data = {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": 2},
+            "B": [0, 1]}
     for key, value in edit.items():
         if value is None:
             del data[key]
@@ -322,12 +323,11 @@ def test_tangency_wrong_side_fails(bundle_path, tmp_path, monkeypatch):
     # witnesses of Bbar's points then lie outside it, which is an error
     def wrong(frame):
         model = frame.model
-        x_ranks = frame.mps.x_ranks
         other = pg.incident_dual_ranks(
-            model.pi_space, model.spread_to_pg_vec(model.xprime_index + 1))
-        return x_ranks, np.setdiff1d(other, x_ranks)
+            model.pi_space, model.spread_to_pg_vec(frame.xprime_index + 1))
+        return np.setdiff1d(other, frame.mps.x_ranks)
 
-    monkeypatch.setattr(example36.Example36Frame, "family_ranks",
+    monkeypatch.setattr(example36.Example36Frame, "xprime_members",
                         property(wrong))
     bundle = example36.load_bundle(bundle_path)
     with pytest.raises(example36.GeometryError, match="X'-subfamily"):
@@ -395,29 +395,56 @@ def test_excluder_command(tmp_path, capsys):
         assert run(["excluder", "--size", "213", "--p", "2", "--e", e]) == 2
 
 
-def test_search_and_construct_mps_flow(tmp_path):
-    search_out = tmp_path / "search.json"
-    rc = run(["search", "fblocking", "--q1", "2", "--n", "2", "--r", "2",
-              "--s", "0", "--max-size", "6", "--out", str(search_out)])
-    assert rc == 0
-    found = json.loads(search_out.read_text())["found"]
+@pytest.fixture(scope="module")
+def mps_flow(tmp_path_factory):
+    """The reports of `search fblocking` on (2, 2, 2, 0) up to size 6 and of
+    `construct mps` on its first non-trivial set, with the bundle's path."""
+    tmp = tmp_path_factory.mktemp("mps")
+    search_out = tmp / "search.json"
+    assert run(["search", "fblocking", "--q1", "2", "--n", "2", "--r", "2",
+                "--s", "0", "--max-size", "6", "--out", str(search_out)]) == 0
+    search = json.loads(search_out.read_text())
+    nontrivial = [f for f in search["found"] if not f["trivial"]]
+    bbar_file = tmp / "bbar.txt"
+    sp = ProjSpace(4, cached_field(2, 1))
+    save_point_set(PointSet(sp, np.array(nontrivial[0]["bbar"])), bbar_file)
+    mps_out = tmp / "mps.json"
+    assert run(["construct", "mps", "--q1", "2", "--n", "2", "--r", "2",
+                "--s", "0", "--bbar", str(bbar_file),
+                "--out", str(mps_out)]) == 0
+    return search, json.loads(mps_out.read_text()), mps_out
+
+
+def test_search_and_construct_mps_flow(mps_flow):
+    search, data, mps_out = mps_flow
+    found = search["found"]
     assert sorted({f["size"] for f in found}) == [3, 5]
     nontrivial = [f for f in found if not f["trivial"]]
     assert {f["B_size"] for f in nontrivial} == {9}
-
-    bbar_file = tmp_path / "bbar.txt"
-    sp = ProjSpace(4, cached_field(2, 1))
-    save_point_set(PointSet(sp, np.array(nontrivial[0]["bbar"])), bbar_file)
-    mps_out = tmp_path / "mps.json"
-    rc = run(["construct", "mps", "--q1", "2", "--n", "2", "--r", "2",
-              "--s", "0", "--bbar", str(bbar_file), "--out", str(mps_out)])
-    assert rc == 0
-    data = json.loads(mps_out.read_text())
     assert data["size"] == data["predicted"] == 9
+    # the cone construction never reads X', so its manifests hold none
+    assert "xprime_index" not in search["manifest"]
+    assert "xprime_index" not in data["manifest"]
 
     rc = run(["verify", "--bundle", str(mps_out),
               "--checks", "blocking,minimal,trivial"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("xprime_index", [0, 99, None])
+def test_verify_mps_bundle_ignores_xprime_index(mps_flow, tmp_path,
+                                                xprime_index):
+    # an mps bundle's model is (q1, n, r) alone: a stale `xprime_index` in
+    # its manifest, out of range or absent, changes nothing
+    data = json.loads(mps_flow[2].read_text())  # holds no xprime_index
+    if xprime_index is not None:
+        data["manifest"]["xprime_index"] = xprime_index
+    bundle = tmp_path / "mps.json"
+    bundle.write_text(json.dumps(data))
+    report = tmp_path / "rep.json"
+    assert run(["verify", "--bundle", str(bundle),
+                "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["verified"] is True
 
 
 # sha256 of the standard output of `blockcone search fblocking` (seed 0),
@@ -425,9 +452,9 @@ def test_search_and_construct_mps_flow(tmp_path):
 # their triviality flags fails here across trees
 _GOLDEN_SEARCHES = {
     ("2", "2", "2", "0", "9"):
-        "9ecd234995561d95b111ffd7f41279160e82c7f03c3ebb09971cd6076cf4c08c",
+        "a06fcacaed52e8577b24e0f59717287d2f31cd61a166833f02327756b19543fd",
     ("3", "2", "2", "0", "6"):
-        "067630f9b506276bb583493c14760cf9304334d932785da7a595f1346746aa61",
+        "e7258572bb4da60ab109d57940b9fa5162302b4145f303cca2235842e62a6658",
 }
 
 
@@ -481,8 +508,8 @@ def test_xprime_index_option_is_refused(argv):
 def test_r_below_2_exits_2(argv, r, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "small_r.json").write_text(json.dumps(
-        {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": int(r),
-                                     "xprime_index": 1}, "B": [0, 1]}))
+        {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": int(r)},
+         "B": [0, 1]}))
     if argv[0] != "verify":
         argv = argv + ["--r", r]
     assert run(argv) == 2
@@ -501,8 +528,8 @@ def test_oversized_space_exits_2(argv, tmp_path, monkeypatch, capsys):
     # PG(40, 4) and PG(80, 2) have more points than int64 ranks can hold
     monkeypatch.chdir(tmp_path)
     (tmp_path / "r40.json").write_text(json.dumps(
-        {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": 40,
-                                     "xprime_index": 1}, "B": [0, 1]}))
+        {"kind": "mps", "manifest": {"q1": 2, "n": 2, "r": 40},
+         "B": [0, 1]}))
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "too many for int64 ranks" in err[0]

@@ -39,7 +39,7 @@ def test_frame_incidence_invariants(frame):
     # Gamma: hyperplane of Sigma through X', missing p
     assert frame.mps.gamma.dim == 7
     assert m.sigma.contains_sub(frame.mps.gamma)
-    assert frame.mps.gamma.contains_sub(m.Xprime)
+    assert frame.mps.gamma.contains_sub(frame.Xprime)
     assert not frame.mps.gamma.contains(m.vertex_p)
     # Theta = Gamma cap X is a line with r, q_tilde its least points
     assert frame.mps.theta.dim == 1
@@ -97,27 +97,29 @@ def test_line_class_rejects_cone_vertex_lines(frame):
 def test_t_tilde_unique_and_regulus_consistent(frame):
     m = frame.model
     sp = m.sigma_prime
-    assert m.Xprime.contains(frame.t_tilde)
+    assert frame.Xprime.contains(frame.t_tilde)
     assert not np.array_equal(frame.t_tilde, frame.t)
     # <p, t_tilde> is a transversal of the regulus of <t, r>
     reg = set(m.regulus_of_line(span_in(sp, [frame.t, frame.r_pt])))
     reg2 = set(m.regulus_of_line(span_in(sp, [m.vertex_p, frame.t_tilde])))
     assert reg == reg2 and len(reg) == m.q1 + 1
     # rebuilding the frame reproduces the same point (determinism)
-    again = ex.t_tilde_find(m, frame.t, frame.r_pt, m.vertex_p)
+    again = ex.t_tilde_find(m, frame.Xprime, frame.t, frame.r_pt,
+                            m.vertex_p)
     assert np.array_equal(again, frame.t_tilde)
 
 
-def _t_tilde_qualifiers_by_scan(model, t, r_pt, p_vec):
+def _t_tilde_qualifiers_by_scan(frame, t, r_pt, p_vec):
     """Oracle: the direct definition, one <p, S2> per element S2 of the big
     line <X, X'> that misses <t, r_pt>; the X' points left are returned as
     ranks."""
+    model = frame.model
     sp = model.sigma_prime
     big = model.spread.big_space
     line_tr = span_in(sp, [t, r_pt])
     xline = span_in(big, [pg.unrank(big, model.x_index),
-                          pg.unrank(big, model.xprime_index)])
-    alive = set(int(x) for x in model.Xprime.point_ranks())
+                          pg.unrank(big, frame.xprime_index)])
+    alive = set(int(x) for x in frame.Xprime.point_ranks())
     alive.discard(pg.rank_of(sp, t))
     for idx in xline.point_ranks():
         S2 = model.element_subspace(int(idx))
@@ -128,12 +130,12 @@ def _t_tilde_qualifiers_by_scan(model, t, r_pt, p_vec):
     return alive
 
 
-def _least_h_by_full_scan(model, gamma_prime, pi):
+def _least_h_by_full_scan(model, Xprime, gamma_prime, pi):
     """Oracle: every point of Sigma' in rank order, tested against the dual
     forms of Gamma' and of <X, X', pi>."""
     sp = model.sigma_prime
     gp_forms = gamma_prime.dual_forms()
-    w_forms = span([model.X, model.Xprime, pi]).dual_forms()
+    w_forms = span([model.X, Xprime, pi]).dual_forms()
     for lo in range(0, sp.n_points, 1 << 13):
         vecs = pg.unrank_batch(sp, np.arange(lo, min(lo + (1 << 13),
                                                      sp.n_points)))
@@ -159,6 +161,19 @@ def frames_q2(bundles_q2):
     return [b.frame for b in bundles_q2]
 
 
+def test_xprime_is_the_frames_second_spread_element(bundles_q2):
+    # X' is the example's choice, element 1 + (seed mod 8) of its model: a
+    # spread element of Sigma disjoint from X, recorded in the manifest
+    for seed, b in enumerate(bundles_q2):
+        fr, m = b.frame, b.frame.model
+        assert fr.xprime_index == 1 + seed % 8
+        assert fr.Xprime == m.element_subspace(fr.xprime_index)
+        assert m.X.dim == fr.Xprime.dim == m.n - 1
+        assert m.sigma.contains_sub(fr.Xprime)
+        assert meet(m.X, fr.Xprime).dim == -1
+        assert b.manifest()["xprime_index"] == fr.xprime_index
+
+
 def test_gamma_is_least_form_through_xprime_missing_p(frames_q2):
     # dense scan of all 87,381 forms of Sigma = PG(8, 4), against the
     # frame's lazy walk over the forms vanishing on X'
@@ -166,7 +181,7 @@ def test_gamma_is_least_form_through_xprime_missing_p(frames_q2):
     forms = pg.unrank_batch(sint, np.arange(sint.n_points))
     for fr in frames_q2:
         model = fr.model
-        on_xp = ~linalg.matmul(forms, model.Xprime.mat[:, :9].T,
+        on_xp = ~linalg.matmul(forms, fr.Xprime.mat[:, :9].T,
                                sint.field).any(axis=1)
         off_p = pg.dot(sint, forms, np.broadcast_to(model.vertex_p[:9],
                                                      forms.shape)) != 0
@@ -181,16 +196,17 @@ def test_t_tilde_batch_matches_definition_scan(frames_q2):
     for fr in frames_q2:
         m = fr.model
         sp = m.sigma_prime
-        expect = _t_tilde_qualifiers_by_scan(m, fr.t, fr.r_pt, m.vertex_p)
-        got = ex.t_tilde_find(m, fr.t, fr.r_pt, m.vertex_p)
+        expect = _t_tilde_qualifiers_by_scan(fr, fr.t, fr.r_pt, m.vertex_p)
+        got = ex.t_tilde_find(m, fr.Xprime, fr.t, fr.r_pt, m.vertex_p)
         assert expect == {pg.rank_of(sp, got)}
         assert np.array_equal(got, fr.t_tilde)
 
 
 def test_least_h_matches_full_scan(frames_q2):
     for fr in frames_q2:
-        expect = _least_h_by_full_scan(fr.model, fr.mps.gamma_prime, fr.pi)
-        got = ex._least_h(fr.model, fr.mps.gamma_prime, fr.pi)
+        expect = _least_h_by_full_scan(fr.model, fr.Xprime,
+                                       fr.mps.gamma_prime, fr.pi)
+        got = ex._least_h(fr.model, fr.Xprime, fr.mps.gamma_prime, fr.pi)
         assert np.array_equal(got, expect)
         assert np.array_equal(got, fr.h)
 
@@ -198,7 +214,7 @@ def test_least_h_matches_full_scan(frames_q2):
 def test_least_h_needs_a_hyperplane(frame):
     # Gamma has codimension 2 in Sigma'
     with pytest.raises(GeometryError, match="hyperplane"):
-        ex._least_h(frame.model, frame.mps.gamma, frame.pi)
+        ex._least_h(frame.model, frame.Xprime, frame.mps.gamma, frame.pi)
 
 
 def test_xprime_line_triple(frame):
@@ -208,13 +224,13 @@ def test_xprime_line_triple(frame):
     assert common.dim == -1
     for L in (L1, L2, L3):
         assert L.dim == 1
-        assert frame.model.Xprime.contains_sub(L)
+        assert frame.Xprime.contains_sub(L)
         assert not L.contains(frame.t)
         assert not L.contains(frame.t_tilde)
 
 
 def test_h_outside_solid(frame):
-    W = span([frame.model.X, frame.model.Xprime, frame.pi])
+    W = span([frame.model.X, frame.Xprime, frame.pi])
     assert frame.mps.gamma_prime.contains(frame.h)
     assert frame.h[-1] != 0
     assert not W.contains(frame.h)
@@ -260,7 +276,7 @@ def test_btilde_spectrum_and_dichotomy(bundle):
 def test_family_scanner_against_subspace_membership(bundle):
     """Vectorized membership equals the direct S7-subspace test."""
     frame = bundle.frame
-    sc = ex.FamilyScanner(frame.model)
+    sc = ex.FamilyScanner(frame)
     rng = np.random.default_rng(0)
     pts = np.concatenate([frame.bbar.ranks[:4], frame.btilde.ranks[:4]])
     pos = rng.choice(len(sc.ranks), size=40, replace=False)
@@ -280,7 +296,7 @@ def _family_scanner_oracle(bundle):
     u in S7, union count 1 and the expected X'-side (None if there is
     none)."""
     fr = bundle.frame
-    sc = ex.FamilyScanner(fr.model)
+    sc = ex.FamilyScanner(fr)
     union = fr.bbar.union(fr.btilde)
     vecs = union.vecs()
     member = np.stack([sc.membership(u) for u in vecs], axis=1)
@@ -320,9 +336,9 @@ def test_image_counts_match_family_scanner(bundles_q2, oracles_q2):
             assert np.array_equal(cov.counts[sc.ranks], counts[key])
         # the q1 image points of u share a line through X, so a cell through
         # X holds a multiple of q1 (never 1, as tangency_scan relies on)
-        x_ranks, xp_members = fr.family_ranks
+        x_ranks = fr.mps.x_ranks
         assert np.all(cov.counts[x_ranks] % fr.model.q1 == 0)
-        assert np.array_equal(xp_members, sc.ranks[sc.ht_mask])
+        assert np.array_equal(fr.xprime_members, sc.ranks[sc.ht_mask])
         n = fr.model.pi_space.n_points
         assert np.array_equal(sc.ranks, np.setdiff1d(np.arange(n), x_ranks))
 
@@ -431,7 +447,7 @@ def test_q3_tangency_witnesses(bundle_q3):
     on = np.stack([pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0
                    for v in image.vecs()], axis=1)
     x = model.spread_to_pg_vec(model.x_index)
-    xp = model.spread_to_pg_vec(model.xprime_index)
+    xp = model.spread_to_pg_vec(fr.xprime_index)
     for i, w in enumerate(ws):
         own = ex.cone_image(fr.mps, PointSet(model.sigma_prime, [w["point"]]))
         assert on[i].sum() == 1 and image.ranks[on[i]][0] in own
@@ -446,7 +462,7 @@ def test_q3_tangency_witnesses(bundle_q3):
 def test_seed_variants_build(bundle):
     alt = ex.example_build(2, 1)
     assert len(alt.B) == len(bundle.B)
-    assert alt.frame.model.xprime_index == 2
+    assert alt.frame.xprime_index == 2
 
 
 def test_bundle_roundtrip_and_tamper_detection(bundle, tmp_path):

@@ -21,7 +21,7 @@ def big():
 def test_spread_partitions_sigma_exhaustive(tiny):
     sp = tiny.spread
     seen = []
-    for i in range(sp.n_elements):
+    for i in range(sp.big_space.n_points):
         ranks = pg.rank_batch(sp.sigma_space, sp.element_point_vecs(i))
         seen.append(ranks)
         assert len(ranks) == (tiny.q1**tiny.n - 1) // (tiny.q1 - 1)
@@ -34,14 +34,14 @@ def test_spread_partitions_sigma_q3(tiny):
     sp = m.spread
     allr = np.concatenate([pg.rank_batch(sp.sigma_space,
                                          sp.element_point_vecs(i))
-                           for i in range(sp.n_elements)])
+                           for i in range(sp.big_space.n_points)])
     assert len(np.unique(allr)) == len(allr) == sp.sigma_space.n_points
 
 
 def test_spread_elements_pairwise_disjoint_sampled(big):
     rng = np.random.default_rng(0)
     for _ in range(30):
-        i, j = rng.integers(0, big.spread.n_elements, size=2)
+        i, j = rng.integers(0, big.spread.big_space.n_points, size=2)
         if i == j:
             continue
         A = big.element_subspace(int(i))
@@ -70,7 +70,7 @@ def _element_from_all_points(model, index):
 @pytest.mark.parametrize("q1,n,r", [(2, 2, 2), (3, 2, 2), (4, 3, 3)])
 def test_element_subspace_closed_form_every_element(q1, n, r):
     model = make_model(q1, n, r)
-    for i in range(model.spread.n_elements):
+    for i in range(model.spread.big_space.n_points):
         vecs, expect = _element_from_all_points(model, i)
         assert model.element_subspace(i) == expect
         assert np.array_equal(model.spread.element_point_vecs(i), vecs)
@@ -79,7 +79,7 @@ def test_element_subspace_closed_form_every_element(q1, n, r):
 def test_element_subspace_closed_form_sampled_q3():
     model = make_model(9, 3, 3)  # the q = 3 frame: PG(2, 729) in PG(8, 9)
     rng = np.random.default_rng(8)
-    for i in rng.choice(model.spread.n_elements, size=50, replace=False):
+    for i in rng.choice(model.spread.big_space.n_points, size=50, replace=False):
         vecs, expect = _element_from_all_points(model, int(i))
         assert model.element_subspace(int(i)) == expect
         assert expect.dim == model.n - 1
@@ -89,7 +89,7 @@ def test_element_subspace_closed_form_sampled_q3():
 
 def test_element_of_vec_inverts_enumeration(big):
     rng = np.random.default_rng(1)
-    for i in rng.integers(0, big.spread.n_elements, size=25):
+    for i in rng.integers(0, big.spread.big_space.n_points, size=25):
         vecs = big.spread.element_point_vecs(int(i))
         for v in vecs[:: max(1, len(vecs) // 4)]:
             assert big.spread.elements_of_vecs(v[None, :])[0] == i
@@ -180,7 +180,7 @@ def test_pi_lines_blow_to_n_subspaces(fix, request):
 def test_regulus_of_line(tiny):
     # a line of Sigma not inside one element meets q1+1 elements
     sp = tiny.sigma_prime
-    t = tiny.Xprime.point_vecs()[0]
+    t = tiny.element_subspace(1).point_vecs()[0]
     p = tiny.vertex_p
     line = span_in(sp, [p, t])
     reg = tiny.regulus_of_line(line)
@@ -191,15 +191,17 @@ def test_regulus_of_line(tiny):
 
 def test_sigma_and_frame_choices(big):
     assert big.sigma.dim == big.r * big.n - 1
-    assert big.X.dim == big.Xprime.dim == big.n - 1
-    assert meet(big.X, big.Xprime).dim == -1
+    assert big.X.dim == big.n - 1
     assert big.X.contains(big.vertex_p)
     # X is the element through the rank-0 big point, p its least point
     assert big.spread.elements_of_vecs(big.X.point_vecs()[:1, :-1])[0] == 0
     man = big.manifest()
     for key in ("q1", "n", "r", "small_modulus", "big_modulus", "basis",
-                "x_index", "xprime_index", "vertex_p"):
+                "x_index", "vertex_p"):
         assert key in man
+    # X' is the PG(3, q^6) example's choice, not the model's
+    assert "xprime_index" not in man
+    assert not hasattr(big, "Xprime")
 
 
 def test_make_model_rejects_non_prime_power():
