@@ -22,7 +22,7 @@ from . import pg, verify
 from .gf import cached_field, is_prime, subfield_embed
 from .linalg import kernel_basis, matmul, rref
 from .model import BCModel, make_model, prime_power
-from .mps import MPSFrame, _inside, cone, cone_image_vecs, frame_make, \
+from .mps import MPSFrame, cone, cone_image_vecs, frame_make, \
     member_ranks, mps_build
 from .pg import GeometryError, PointSet, ProjSpace, Subspace, meet, span, span_in
 
@@ -323,26 +323,36 @@ def _choose_xprime_lines(xp: Subspace, t, t_tilde):
     raise GeometryError("no admissible line triple in X'")
 
 
+# coefficient vectors per chunk of `_least_h`'s walk
+_WALK_CHUNK = 1 << 13
+
+
 def _least_h(model: BCModel, Xprime: Subspace, gamma_prime: Subspace,
              pi: Subspace) -> np.ndarray:
     """Least-rank point of Gamma' outside Sigma and outside <X, X', pi>.
 
-    Gamma' is a hyperplane of Sigma' with form g, so its points are the duals
-    incident to g; `pg.hyperplane_point_ranks` walks them in rank order: the
-    pivot blocks from the highest pivot down, each block lexicographic in its
-    free coordinates, which is rank order within the block because the
-    dependent coordinate depends only on the free coordinates before it.
-    The first admissible point of the walk is the least."""
+    Gamma' must be a hyperplane of Sigma'.  Its points are c @ M for M its
+    RREF matrix and c over the canonical coefficient vectors, walked in rank
+    order in chunks of `_WALK_CHUNK`; the map keeps rank order
+    (`Subspace.point_vecs`), so the first admissible c gives the least
+    point.  Both conditions are read on c: the last coordinate of c @ M is
+    c . M[:, -1], and a form w of <X, X', pi> vanishes on c @ M iff the form
+    M @ w does on c.  Only the chosen c is mapped into Sigma'."""
     sp = model.sigma_prime
-    g = gamma_prime.dual_forms()
-    if g.shape[0] != 1:
+    if gamma_prime.dim != sp.m - 1:
         raise GeometryError("Gamma' is not a hyperplane of Sigma'")
+    f, M = sp.field, gamma_prime.mat
+    coeff = ProjSpace(gamma_prime.dim, f)
     w_forms = span([model.X, Xprime, pi]).dual_forms()
-    for ranks in pg.hyperplane_point_ranks(sp, g[0]):
-        vecs = pg.unrank_batch(sp, ranks)
-        ok = (vecs[:, -1] != 0) & ~_inside(w_forms, vecs, sp.field)
+    # column 0 reads the last coordinate, the others the forms of <X, X', pi>
+    cols = np.hstack([M[:, -1:], matmul(M, w_forms.T, f)])
+    for lo in range(0, coeff.n_points, _WALK_CHUNK):
+        c = pg.unrank_batch(coeff, np.arange(
+            lo, min(lo + _WALK_CHUNK, coeff.n_points)))
+        vals = matmul(c, cols, f)
+        ok = (vals[:, 0] != 0) & vals[:, 1:].any(axis=1)
         if np.any(ok):
-            return vecs[np.argmax(ok)]
+            return matmul(c[np.argmax(ok)][None], M, f)[0]
     raise GeometryError("no admissible h (cannot happen)")
 
 
@@ -657,12 +667,6 @@ def bundle_to_dict(bundle: Bundle) -> dict:
         "btilde": [int(x) for x in fr.btilde.ranks],
         "B": [int(x) for x in bundle.B.ranks],
     }
-
-
-def save_bundle(bundle: Bundle, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(bundle_to_dict(bundle), fh)
-        fh.write("\n")
 
 
 def load_bundle(path, strict: bool = True) -> Bundle:

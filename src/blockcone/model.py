@@ -69,12 +69,6 @@ class Spread:
         scaled = self.tower.sup.mul_table[basis[:, None], x[None, :]]
         return self.tower.coords(scaled).reshape(self.n, self.r * self.n)
 
-    def element_point_vecs(self, index: int) -> np.ndarray:
-        """Canonical Sigma-coordinate vectors (length rn) of one element,
-        rank-sorted."""
-        return Subspace(self.sigma_space,
-                        self.element_generators(index)).point_vecs()
-
     def elements_of_vecs(self, vecs) -> np.ndarray:
         """Spread element indices of nonzero Sigma-vectors, one per row."""
         v = np.asarray(vecs, dtype=np.int64)
@@ -121,14 +115,7 @@ class BCModel:
         return Subspace(self.sigma_prime,
                         self._lift(self.spread.element_generators(index)))
 
-    # -- the two-way point map ----------------------------------------------
-
-    def bc_to_pg_vec(self, vec) -> np.ndarray:
-        """Affine Sigma'-point -> canonical point of PG(r, q1^n)."""
-        v = np.asarray(vec, dtype=np.int64)
-        if v[-1] == 0:
-            raise GeometryError("point of Sigma passed as affine")
-        return self.bc_to_pg_batch(v[None, :])[0]
+    # -- the point maps into PG(r, q1^n) ------------------------------------
 
     def bc_to_pg_batch(self, vecs: np.ndarray) -> np.ndarray:
         v = np.asarray(vecs, dtype=np.int64)
@@ -146,18 +133,6 @@ class BCModel:
         x = pg.unrank(self.spread.big_space, index)
         out = np.concatenate([x, np.zeros(1, dtype=np.int64)])
         return pg.normalize(self.pi_space, out)
-
-    def pg_to_bc(self, vec):
-        """Point of PG(r, q1^n) -> affine Sigma'-point vector, or ('spread', i)."""
-        v = np.asarray(vec, dtype=np.int64)
-        if v[-1] == 0:
-            return ("spread", pg.rank_of(self.spread.big_space, v[:-1]))
-        sup = self.tower.sup
-        scale = sup.inv_table[v[-1]]
-        v = sup.mul_table[scale, v]
-        blocks = self.tower.coords(v[:-1]).reshape(-1)
-        out = np.concatenate([blocks, np.ones(1, dtype=np.int64)])
-        return pg.normalize(self.sigma_prime, out)
 
     # -- hyperplane blow-up --------------------------------------------------
 

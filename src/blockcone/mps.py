@@ -248,12 +248,6 @@ def _inside(forms: np.ndarray, vecs: np.ndarray, field) -> np.ndarray:
     return ~matmul(vecs, forms.T, field).any(axis=1)
 
 
-def bbar_without_x(frame: MPSFrame, bbar: PointSet) -> PointSet:
-    X = frame.model.X
-    off_x = ~_inside(X.dual_forms(), bbar.vecs(), X.space.field)
-    return PointSet(bbar.space, bbar.ranks[off_x])
-
-
 def _family_table(frame: MPSFrame,
                   aff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The family's member ranks, and the (points, members) boolean table of
@@ -306,8 +300,10 @@ def f_search_minimal(frame: MPSFrame, max_size: int) -> list[dict]:
                              max_size - len(theta_ranks))
     bbars = [PointSet(gp.space, np.concatenate([theta_ranks, affine[list(c)]]))
              for c in covers]
-    return [{"bbar": b, "trivial": _contains_complementary_subspace(b, frame)}
-            for b in bbars]
+    # trivial means containing a subspace of dimension d = n - s - 1, and
+    # d = 1 here: d >= 2 forces Gamma' = PG(rn - s - 1, q1) with rn - s >= 6,
+    # at least 63 points, which is refused above
+    return [{"bbar": b, "trivial": triviality_check(b)} for b in bbars]
 
 
 def _minimal_covers(masks: list[int], full: int, max_k: int) -> list[tuple]:
@@ -340,12 +336,3 @@ def _minimal_covers(masks: list[int], full: int, max_k: int) -> list[tuple]:
     if max_k >= 0:
         walk(0, 0, 0, [])
     return sorted(out, key=lambda c: (len(c), c))
-
-
-def _contains_complementary_subspace(bbar: PointSet, frame: MPSFrame) -> bool:
-    """Triviality per the family definition: Bbar contains a subspace of
-    dimension (ambient dim of Gamma') - (family member dim) = n - s - 1."""
-    d = frame.model.n - frame.s - 1  # >= 1, as s <= n - 2
-    if d == 1:
-        return triviality_check(bbar)
-    raise NotImplementedError("triviality scan implemented for d = 1 only")

@@ -161,11 +161,17 @@ def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
     The pivots j > i* are the ranks below thresh[i*].  Per pivot j < i*, a*
     is an outer sum over the free coordinates before i* and the ranks a
     broadcast sum written into one preallocated array (`_pivot_block`),
-    lexicographic in the free coordinates, which is rank order (see
-    `hyperplane_point_ranks`).  The blocks are written from the highest
-    pivot down, so the whole array is in rank order."""
-    m, q = space.m, space.q
-    istar, cv = _incidence_form(space, vec)
+    lexicographic in the free coordinates.  As a* depends only on the free
+    coordinates before it, that is lexicographic order of the whole vector,
+    which is rank order.  The blocks are written from the highest pivot
+    down, so the whole array is in rank order."""
+    m, q, f = space.m, space.q, space.field
+    v = np.asarray(vec, dtype=np.int64)
+    nz = np.nonzero(v)[0]
+    if nz.size == 0:
+        raise GeometryError("zero vector")
+    istar = int(nz[-1])
+    cv = f.mul_table[int(f.neg_table[f.inv_table[v[istar]]]), v]  # c.vec
     out = np.empty(space.hyperplanes_per_point(), dtype=np.int64)
     lo = int(space.thresh[istar])
     out[:lo] = np.arange(lo)
@@ -176,54 +182,10 @@ def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
     return out
 
 
-# rows per chunk of `hyperplane_point_ranks`
-_WALK_CHUNK = 1 << 13
-
-
-def hyperplane_point_ranks(space: ProjSpace, form):
-    """Ranks of the points x with form . x = 0, in increasing order, yielded
-    in chunks of at most `_WALK_CHUNK`.
-
-    These are the duals incident to `form`, walked pivot block by pivot block
-    from the highest pivot down, which is rank order.  The pivots j > i* are
-    the ranks below thresh[i*]; pivot i* has no incident dual.  A block
-    j < i* is built per value of its first free coordinate with
-    `_pivot_block`, and needs no sort: a* depends only on the free
-    coordinates before it, so lexicographic order of the free coordinates is
-    lexicographic order of the whole vector, i.e. rank order."""
-    m, q = space.m, space.q
-    istar, cv = _incidence_form(space, form)
-    hi = int(space.thresh[istar])
-    for a in range(0, hi, _WALK_CHUNK):
-        yield np.arange(a, min(a + _WALK_CHUNK, hi), dtype=np.int64)
-    for j in range(istar - 1, -1, -1):
-        size = q ** (m - j - 1)
-        leads = [None] if size == 1 else range(q)
-        for lead in leads:
-            block = np.empty(size // len(leads), dtype=np.int64)
-            _pivot_block(space, cv, istar, j, block, lead)
-            for a in range(0, block.size, _WALK_CHUNK):
-                yield block[a:a + _WALK_CHUNK]
-
-
-def _incidence_form(space: ProjSpace, vec) -> tuple[int, np.ndarray]:
-    """(i*, c.vec): the last nonzero coordinate of vec and vec scaled by
-    c = -vec[i*]^-1, so that a . vec = 0 iff a_{i*} = sum over i != i* of
-    (c.v_i).a_i."""
-    v = np.asarray(vec, dtype=np.int64)
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        raise GeometryError("zero vector")
-    istar = int(nz[-1])
-    f = space.field
-    return istar, f.mul_table[int(f.neg_table[f.inv_table[v[istar]]]), v]
-
-
 def _pivot_block(space: ProjSpace, cv: np.ndarray, istar: int, j: int,
-                 out: np.ndarray, lead: int | None = None) -> None:
+                 out: np.ndarray) -> None:
     """Write into `out` the ranks of the incident duals with pivot j < i*,
-    lexicographic in the free coordinates i > j, i != i*; with `lead`, only
-    those whose first free coordinate is `lead`.
+    lexicographic in the free coordinates i > j, i != i*.
 
     Split the free coordinates at i*: with kb and ka the lexicographic
     positions of the parts before and after i*, the rank is
@@ -239,16 +201,7 @@ def _pivot_block(space: ProjSpace, cv: np.ndarray, istar: int, j: int,
     n_after = q ** na
     acc = cv[j:j + 1]
     base = int(space.thresh[j])
-    first = j + 1
-    if lead is not None:
-        if first < istar:
-            acc = add[acc, mul[cv[first], lead]]
-            base += lead * q ** (m - first)
-            first += 1
-        else:  # the first free coordinate is i* + 1
-            n_after //= q
-            base += lead * n_after
-    for i in range(first, istar):
+    for i in range(j + 1, istar):
         acc = np.take(add[acc], mul[cv[i]], axis=1).ravel()
     wb = q ** (na + 1)
     block = out.reshape(acc.size, n_after)

@@ -6,7 +6,9 @@ of Sigma' through Omega; seen in Pi_r it is that union together with the
 point X.  The oracle lists every such union and classifies it by direct
 incidence against the lines of Pi_r.  It uses only pg rank/unrank/dot and the
 model's point maps, nothing of `mps`, `verify` or `example36`, so it can
-certify what the cone code produces.
+certify what the cone code produces.  The two single-point maps between Pi_r
+and Sigma' (`bc_to_pg_vec`, `pg_to_bc`) live here too: the program maps
+affine points in batches only.
 """
 
 import itertools
@@ -14,6 +16,23 @@ import itertools
 import numpy as np
 
 from blockcone import pg
+
+
+def bc_to_pg_vec(model, vec) -> np.ndarray:
+    """Affine Sigma'-point -> canonical point of PG(r, q1^n)."""
+    return model.bc_to_pg_batch(np.asarray(vec, dtype=np.int64)[None, :])[0]
+
+
+def pg_to_bc(model, vec):
+    """Point of PG(r, q1^n) -> affine Sigma'-point vector, or ('spread', i)."""
+    v = np.asarray(vec, dtype=np.int64)
+    if v[-1] == 0:
+        return ("spread", pg.rank_of(model.spread.big_space, v[:-1]))
+    sup = model.tower.sup
+    v = sup.mul_table[sup.inv_table[v[-1]], v]
+    blocks = model.tower.coords(v[:-1]).reshape(-1)
+    out = np.concatenate([blocks, np.ones(1, dtype=np.int64)])
+    return pg.normalize(model.sigma_prime, out)
 
 
 def pi_incidence(model) -> np.ndarray:
@@ -37,7 +56,7 @@ def omega_lines(model, omega_vec) -> list[frozenset[int]]:
         pts = f.add_table[a[None, :], f.mul_table[np.arange(f.q)[:, None],
                                                   omega[None, :]]]
         lines.add(frozenset(
-            pg.rank_of(model.pi_space, model.bc_to_pg_vec(v)) for v in pts))
+            pg.rank_of(model.pi_space, bc_to_pg_vec(model, v)) for v in pts))
     return sorted(lines, key=min)
 
 

@@ -6,7 +6,8 @@ Gamma' as a subspace, one span and one meet per hyperplane H missing X, and
 `f_search_minimal` tries every index set of affine points of Gamma' with
 `itertools.combinations`, size by size, and keeps those that block every
 family member while no set with one point removed does.  `cone` takes the
-span <vertex, b> of each base point on its own.  All are the direct
+span <vertex, b> of each base point on its own, and `bbar_without_x` tests
+each point of Bbar against X with `Subspace.contains`.  All are the direct
 definitions, slow and kept out of the program, so that the program's Lemma 2
 incidences, pruned search and batched cone can be checked against them.
 """
@@ -15,8 +16,8 @@ import itertools
 
 import numpy as np
 
-from blockcone.mps import _contains_complementary_subspace
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
+from blockcone.verify import triviality_check
 from blockcone import pg
 
 
@@ -84,7 +85,7 @@ def f_search_minimal(frame, max_size: int) -> list[dict]:
         bbar = PointSet(gp.space,
                         np.concatenate([theta_ranks, affine[list(idx)]]))
         out.append({"bbar": bbar,
-                    "trivial": _contains_complementary_subspace(bbar, frame)})
+                    "trivial": triviality_check(bbar)})
     return out
 
 
@@ -102,3 +103,10 @@ def cone(vertex, base: PointSet) -> PointSet:
         line = span([vertex, b]) if vertex.dim >= 0 else span_in(space, [b])
         chunks.append(line.point_ranks())
     return PointSet(space, np.concatenate(chunks))
+
+
+def bbar_without_x(frame, bbar: PointSet) -> PointSet:
+    """The points of Bbar off X."""
+    X = frame.model.X
+    return PointSet(bbar.space, [r for r, v in zip(bbar.ranks, bbar.vecs())
+                                 if not X.contains(v)])

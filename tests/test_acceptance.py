@@ -12,11 +12,12 @@ import pytest
 from blockcone import example36 as ex
 from blockcone import pg, verify
 from blockcone.model import make_model
-from blockcone.mps import (bbar_without_x, f_blocking_check, f_search_minimal,
-                           frame_make, mps_build, mps_size_predict)
+from blockcone.mps import (f_blocking_check, f_search_minimal, frame_make,
+                           mps_build, mps_size_predict)
 from blockcone.pg import PointSet, span_in
 
 import cone_oracle
+from mps_oracle import bbar_without_x
 
 _cache: dict = {}
 

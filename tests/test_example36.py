@@ -202,13 +202,32 @@ def test_t_tilde_batch_matches_definition_scan(frames_q2):
         assert np.array_equal(got, fr.t_tilde)
 
 
-def test_least_h_matches_full_scan(frames_q2):
-    for fr in frames_q2:
+def _check_least_h(frames):
+    for fr in frames:
         expect = _least_h_by_full_scan(fr.model, fr.Xprime,
                                        fr.mps.gamma_prime, fr.pi)
         got = ex._least_h(fr.model, fr.Xprime, fr.mps.gamma_prime, fr.pi)
         assert np.array_equal(got, expect)
         assert np.array_equal(got, fr.h)
+
+
+def test_least_h_matches_full_scan(frames_q2):
+    # h is coefficient vector 1,366 of Gamma', in the walk's first chunk
+    _check_least_h(frames_q2)
+
+
+def test_least_h_matches_full_scan_across_chunks(frames_q2, monkeypatch):
+    # chunks of 5 put h in the walk's 274th chunk
+    monkeypatch.setattr(ex, "_WALK_CHUNK", 5)
+    _check_least_h(frames_q2)
+
+
+def test_least_h_q3_rank(bundle_q3):
+    # h is coefficient vector 66,431 of Gamma', in the walk's ninth chunk;
+    # its Sigma' rank is the same for every seed
+    frames = [bundle_q3.frame] + [ex.frame36_make(3, s) for s in range(1, 8)]
+    for fr in frames:
+        assert pg.rank_of(fr.model.sigma_prime, fr.h) == 597_872
 
 
 def test_least_h_needs_a_hyperplane(frame):
@@ -467,7 +486,7 @@ def test_seed_variants_build(bundle):
 
 def test_bundle_roundtrip_and_tamper_detection(bundle, tmp_path):
     path = tmp_path / "bundle.json"
-    ex.save_bundle(bundle, path)
+    path.write_text(json.dumps(ex.bundle_to_dict(bundle)) + "\n")
     again = ex.load_bundle(path, strict=True)
     assert again.B == bundle.B
     data = json.loads(path.read_text())

@@ -7,6 +7,8 @@ from blockcone import pg
 from blockcone.model import make_model
 from blockcone.pg import GeometryError, Subspace, meet, span, span_in
 
+from cone_oracle import bc_to_pg_vec, pg_to_bc
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -18,11 +20,18 @@ def big():
     return make_model(4, 3, 3)  # PG(3,64) inside PG(9,4)
 
 
+def element_point_vecs(spread, index: int) -> np.ndarray:
+    """Canonical Sigma-coordinate vectors (length rn) of one element,
+    rank-sorted."""
+    return Subspace(spread.sigma_space,
+                    spread.element_generators(index)).point_vecs()
+
+
 def test_spread_partitions_sigma_exhaustive(tiny):
     sp = tiny.spread
     seen = []
     for i in range(sp.big_space.n_points):
-        ranks = pg.rank_batch(sp.sigma_space, sp.element_point_vecs(i))
+        ranks = pg.rank_batch(sp.sigma_space, element_point_vecs(sp, i))
         seen.append(ranks)
         assert len(ranks) == (tiny.q1**tiny.n - 1) // (tiny.q1 - 1)
     allr = np.concatenate(seen)
@@ -33,7 +42,7 @@ def test_spread_partitions_sigma_q3(tiny):
     m = make_model(3, 2, 2)
     sp = m.spread
     allr = np.concatenate([pg.rank_batch(sp.sigma_space,
-                                         sp.element_point_vecs(i))
+                                         element_point_vecs(sp, i))
                            for i in range(sp.big_space.n_points)])
     assert len(np.unique(allr)) == len(allr) == sp.sigma_space.n_points
 
@@ -73,7 +82,7 @@ def test_element_subspace_closed_form_every_element(q1, n, r):
     for i in range(model.spread.big_space.n_points):
         vecs, expect = _element_from_all_points(model, i)
         assert model.element_subspace(i) == expect
-        assert np.array_equal(model.spread.element_point_vecs(i), vecs)
+        assert np.array_equal(element_point_vecs(model.spread, i), vecs)
 
 
 def test_element_subspace_closed_form_sampled_q3():
@@ -90,7 +99,7 @@ def test_element_subspace_closed_form_sampled_q3():
 def test_element_of_vec_inverts_enumeration(big):
     rng = np.random.default_rng(1)
     for i in rng.integers(0, big.spread.big_space.n_points, size=25):
-        vecs = big.spread.element_point_vecs(int(i))
+        vecs = element_point_vecs(big.spread, int(i))
         for v in vecs[:: max(1, len(vecs) // 4)]:
             assert big.spread.elements_of_vecs(v[None, :])[0] == i
 
@@ -102,12 +111,12 @@ def test_point_map_roundtrip(fix, request):
     pi = model.pi_space
     for r in rng.integers(0, pi.n_points, size=200):
         v = pg.unrank(pi, int(r))
-        back = model.pg_to_bc(v)
+        back = pg_to_bc(model, v)
         if isinstance(back, tuple):
             assert back[0] == "spread"
             assert np.array_equal(model.spread_to_pg_vec(back[1]), v)
         else:
-            assert np.array_equal(model.bc_to_pg_vec(back), v)
+            assert np.array_equal(bc_to_pg_vec(model, back), v)
 
 
 @pytest.mark.parametrize("fix,n_pairs", [("tiny", 10_000), ("big", 500)])
@@ -123,7 +132,7 @@ def test_incidence_isomorphism(fix, n_pairs, request):
         a = pg.unrank(pi, int(hr))
         inc = pg.incident(v, a, pi)
         blow = model.hyperplane_blowup(a)
-        rep = model.pg_to_bc(v)
+        rep = pg_to_bc(model, v)
         if isinstance(rep, tuple):
             inside = blow.contains_sub(model.element_subspace(rep[1]))
         else:
@@ -165,7 +174,7 @@ def test_pi_lines_blow_to_n_subspaces(fix, request):
             continue
         parts = []
         for v in line.point_vecs():
-            rep = model.pg_to_bc(v)
+            rep = pg_to_bc(model, v)
             if isinstance(rep, tuple):
                 parts.append(model.element_subspace(rep[1]))
             else:

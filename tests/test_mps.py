@@ -5,10 +5,12 @@ import pytest
 
 from blockcone import pg, verify
 from blockcone.model import make_model
-from blockcone.mps import (MPSFrame, bbar_without_x, cone, f_blocking_check,
+from blockcone.mps import (MPSFrame, cone, f_blocking_check,
                            f_search_minimal, frame_make, mps_build,
                            mps_size_predict)
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
+
+from mps_oracle import bbar_without_x
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,16 @@ def test_search_minimal_results(minimal_sets):
                                if not i["trivial"]})
     assert trivial_sizes == [3]
     assert nontrivial_sizes == [5]
+
+
+def test_search_refuses_gamma_prime_of_63_points():
+    # (q1, n, r, s) = (2, 3, 2, 0): d = n - s - 1 = 2, the least d the
+    # search's d = 1 triviality does not cover, and Gamma' = PG(5, 2)
+    frame = frame_make(make_model(2, 3, 2), 0)
+    assert frame.model.n - frame.s - 1 == 2
+    assert frame.gamma_prime.n_points() == 63
+    with pytest.raises(GeometryError, match="too large"):
+        f_search_minimal(frame, 6)
 
 
 def test_teo6_formula_on_all_built_instances(frame, minimal_sets):

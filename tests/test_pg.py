@@ -121,16 +121,20 @@ def test_incident_dual_ranks_spot_check_pg3_729():
 @pytest.mark.parametrize("m,p,k", [(3, 3, 1), (4, 2, 2), (5, 2, 1),
                                    (3, 2, 3), (2, 3, 2)])
 @pytest.mark.parametrize("chunk", [5, 1 << 13])
-def test_hyperplane_point_ranks_walk_rank_order(m, p, k, chunk, monkeypatch):
-    # every hyperplane of PG(3,3), PG(4,4), PG(5,2), PG(3,8), PG(2,9): the
-    # chunks, from the highest pivot down, are its points in rank order
-    monkeypatch.setattr(pg, "_WALK_CHUNK", chunk)
+def test_hyperplane_point_ranks_walk_rank_order(m, p, k, chunk):
+    # every hyperplane of PG(3,3), PG(4,4), PG(5,2), PG(3,8), PG(2,9): its
+    # points walked as c @ M (M the kernel's RREF matrix, c the coefficient
+    # vectors in rank order, in chunks, as `example36._least_h` walks
+    # Gamma') come out in rank order, and are the closed form's ranks
     sp = _space(m, p, k)
     for r in range(sp.n_points):
         form = pg.unrank(sp, r)
-        chunks = list(pg.hyperplane_point_ranks(sp, form))
-        assert max(c.size for c in chunks) <= chunk
-        walk = np.concatenate(chunks)
+        kernel = Subspace(sp, linalg.kernel_basis(form[None], sp.field))
+        coeff = ProjSpace(kernel.dim, sp.field)
+        walk = np.concatenate([
+            pg.rank_batch(sp, linalg.matmul(pg.unrank_batch(coeff, np.arange(
+                lo, min(lo + chunk, coeff.n_points))), kernel.mat, sp.field))
+            for lo in range(0, coeff.n_points, chunk)])
         assert np.all(np.diff(walk) > 0)
         assert np.array_equal(walk, pg.incident_dual_ranks(sp, form))
 
