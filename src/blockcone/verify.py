@@ -23,12 +23,14 @@ and d = g_j + sum of prefix_i.g_i.  So a point meets a tile
 
 A tile's counts are one add-table gather and one `np.bincount` over the cells
 of all points.  A point's least tangent (the least hyperplane through it of
-count 1) is found in the same walk: a batch's counts are complete when it is
-counted and the batches come in rank order, so the first batch holding a
-count-1 cell of a point holds its least tangent.  `blocking_check` keeps the
-counts, saturated at 255, and the tangents on its `CoverageResult`, and
-`minimality_check` only reads the tangents.  Saturation is safe: blocking
-needs `>= 1`, and the tangents are found on the exact counts.
+count 1) is found in the same walk, by a second bincount of the same cells
+weighted by i + 1 for point i: on a count-1 cell the sum is its one point's
+weight, exactly, the sums being integers far below 2^53.  The batches come
+complete and in rank order, so a point's first count-1 cell is its least
+tangent.  `blocking_check` keeps the counts, saturated at 255, and the
+tangents on its `CoverageResult`, and `minimality_check` only reads the
+tangents.  Saturation is safe: blocking needs `>= 1`, and the tangents are
+found on the exact counts.
 
 `run_checks` is the one builder of a verify report and of its verdict.
 """
@@ -78,13 +80,6 @@ class MinimalityResult:
     @property
     def minimal(self) -> bool:
         return not self.inessential
-
-
-def _first(cells: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """Per row, the cell at the first True of `hit`, or -1."""
-    pos = hit.argmax(axis=1)
-    rows = np.arange(len(cells))
-    return np.where(hit[rows, pos], cells[rows, pos], -1)
 
 
 class _Tiles:
@@ -151,85 +146,82 @@ class _Tiles:
             d = f.add_table[d, f.mul_table[prefix[:, None], g[:, i]]]
         return d
 
-    def _diag_cells(self, step: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """(tiles, q, points) cells of diagonal points with gather indices
-        `step` (q, points) and offsets d (tiles, points): in row a of a
-        tile, a_m = d + a.g_{m-1}."""
+    def _parts(self, j: int, t0: int, k: int):
+        """(index array, points, cells per index) of the batch of the k
+        tiles from t0 of pivot j, the last axis of each index array running
+        over its points: the cells of the diagonal points, chunk by chunk
+        (in row a of a tile, a_m = d + a.g_{m-1}); the rows a_{m-1} = d of
+        the row points; the tiles with d = 0 of the whole points (k for the
+        other tiles)."""
         Q = self.space.q
-        cells = np.add((d * Q)[:, None, :], step, dtype=np.int64)
-        # in place: each index is read before its own slot is written, and
-        # every index is in range by construction
-        np.take(self.add, cells, out=cells, mode="clip")
-        cells += (np.arange(len(d))[:, None, None] * (Q * Q)
-                  + np.arange(Q)[:, None] * Q)
-        return cells
+        for a in range(0, max(self.diag.size, 1), self.chunk):
+            idx = self.diag[a:a + self.chunk]
+            d = self._offsets(idx, j, t0, k)
+            cells = np.add((d * Q)[:, None, :], self.step[:, a:a + self.chunk],
+                           dtype=np.int64)
+            # in place: each index is read before its own slot is written,
+            # and every index is in range by construction
+            np.take(self.add, cells, out=cells, mode="clip")
+            cells += (np.arange(k)[:, None, None] * (Q * Q)
+                      + np.arange(Q)[:, None] * Q)
+            yield cells, idx, 1
+        if self.row.size:
+            d = self._offsets(self.row, j, t0, k)
+            yield np.arange(k)[:, None] * Q + d, self.row, Q
+        if self.whole.size:
+            d = self._offsets(self.whole, j, t0, k)
+            yield np.where(d == 0, np.arange(k)[:, None], k), self.whole, Q * Q
 
-    def _diag_counts(self, a: int, j: int, t0: int, k: int) -> np.ndarray:
-        """Counts over the k tiles from t0 of pivot j of the diagonal points
-        a .. a + chunk - 1."""
-        Q = self.space.q
-        b = a + self.chunk
-        d = self._offsets(self.diag[a:b], j, t0, k)
-        cells = self._diag_cells(self.step[:, a:b], d)
-        return np.bincount(cells.ravel(), minlength=k * Q * Q)
+    def _sum(self, lo: int, n: int, parts) -> np.ndarray:
+        """The int64 counts over the n cells from rank lo, summed over
+        `parts` as `_parts` gives them (the first has one cell per index);
+        while a point has no tangent, also the weighted sums that name the
+        tangents, as `counts` describes."""
+        weigh = (self.best < 0).any()
+        out = None
+        for ix, idx, per in parts:
+            bins = n // per
+            tally = [np.bincount(ix.ravel(), minlength=bins)[:bins]]
+            if weigh:
+                w = np.broadcast_to(idx + 1.0, ix.shape).ravel()
+                # float64 also when ix is empty, where bincount gives int64
+                tally.append(np.bincount(ix.ravel(), w, minlength=bins)[:bins]
+                             .astype(np.float64, copy=False))
+            if out is None:
+                out = tally
+                continue
+            for o, t in zip(out, tally):
+                o.reshape(-1, per)[:] += t[:, None]
+        cnt = out[0]
+        if weigh:
+            one = np.flatnonzero(cnt == 1)
+            pts, first = np.unique((out[1][one] - 1).astype(np.int64),
+                                   return_index=True)
+            new = self.best[pts] < 0
+            self.best[pts[new]] = lo + one[first[new]]
+        return cnt
 
     def counts(self):
-        """(first rank, int64 counts) per tile batch, the low tile first.
-        Before a batch is yielded, `best` takes each point's least tangent
-        in it, if the point has none yet: per point, the least hyperplane
-        rank through it of count 1, or -1 while none is found."""
+        """(first rank, int64 counts) per tile batch, the low tile first,
+        each from `_sum`.  Before a batch is yielded, `best` takes each
+        point's least tangent in it, if the point has none yet: per point,
+        the least hyperplane rank through it of count 1, or -1 while none
+        is found.  While a point has none, a second bincount of the same
+        cells, weighted by i + 1 for point i, names the one point on each
+        count-1 cell: the sum there is that point's weight, exact in float64
+        (each sum is an integer below |points|^2, far below 2^53).  A
+        batch's cells are in rank order, so the first count-1 cell naming a
+        point is its least tangent."""
         Q = self.space.q
-        cnt = np.bincount(self.low, minlength=Q + 1) + self.whole.size
-        ok = cnt == 1
-        self.best = best = np.full(len(self.g), -1, dtype=np.int64)
-        best[self.single] = np.where(ok[self.low], self.low, -1)
+        self.best = np.full(len(self.g), -1, dtype=np.int64)
         # whole points lie on every hyperplane of the low tile
-        one = np.flatnonzero(ok)
-        best[self.whole] = one[0] if one.size else -1
-        yield 0, cnt
+        low = [(self.low, self.single, 1)]
+        if self.whole.size:
+            low.append((np.zeros(self.whole.size, dtype=np.int64),
+                        self.whole, Q + 1))
+        yield 0, self._sum(0, Q + 1, low)
         for lo, j, t0, k in self._batches():
-            cnt = self._diag_counts(0, j, t0, k)
-            for a in range(self.chunk, self.diag.size, self.chunk):
-                cnt += self._diag_counts(a, j, t0, k)
-            if self.row.size:
-                d = self._offsets(self.row, j, t0, k)
-                rows = np.arange(k)[:, None] * Q + d
-                cnt.reshape(k * Q, Q)[:] += np.bincount(
-                    rows.ravel(), minlength=k * Q)[:, None]
-            if self.whole.size:
-                d = self._offsets(self.whole, j, t0, k)
-                cnt.reshape(k, Q * Q)[:] += np.count_nonzero(
-                    d == 0, axis=1)[:, None]
-            if (best < 0).any():
-                self._tangents(cnt == 1, lo, j, t0, k)
-            yield lo, cnt
-
-    def _tangents(self, ok: np.ndarray, lo: int, j: int, t0: int, k: int):
-        """Give each point without a tangent its first cell with `ok` (count
-        1) in the batch of the k tiles from t0 of pivot j, at rank lo."""
-        Q = self.space.q
-        best = self.best
-        open_ = best < 0
-        # diagonal and row points: their cells, per point in rank order
-        pos = np.flatnonzero(open_[self.diag])
-        idx = self.diag[pos]
-        cells = self._diag_cells(self.step[:, pos],
-                                 self._offsets(idx, j, t0, k))
-        cells = cells.transpose(2, 0, 1).reshape(idx.size, k * Q)
-        best[idx] = _first(cells, ok[cells])
-        idx = self.row[open_[self.row]]
-        starts = np.arange(k)[:, None] * (Q * Q) + \
-            self._offsets(idx, j, t0, k) * Q
-        cells = (starts.T[:, :, None] + np.arange(Q)).reshape(idx.size, k * Q)
-        best[idx] = _first(cells, ok[cells])
-        # whole points: the first count-1 cell of each tile with d = 0
-        idx = self.whole[open_[self.whole]]
-        if idx.size:
-            per_tile = ok.reshape(k, Q * Q)
-            cells = np.arange(k) * (Q * Q) + per_tile.argmax(axis=1)
-            hit = per_tile.any(axis=1) & (self._offsets(idx, j, t0, k).T == 0)
-            best[idx] = _first(np.broadcast_to(cells, hit.shape), hit)
-        best[open_ & (best >= 0)] += lo
+            yield lo, self._sum(lo, k * Q * Q, self._parts(j, t0, k))
 
 
 def blocking_check(ps: PointSet) -> CoverageResult:

@@ -478,6 +478,22 @@ def test_q3_tangency_witnesses(bundle_q3):
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_Q3_TANGENCY
 
 
+# sha256 of the q = 3 minimality witnesses, (point rank, least tangent rank)
+# for all 2,683 points of B in rank order (json)
+_GOLDEN_Q3_MINIMALITY = \
+    "f1233a444b6ceb2cd7fbcc8ce4e9f81910cf9a6048b188d3ef85e68ef404e006"
+
+
+def test_q3_minimality_witnesses(bundle_q3):
+    """Every point of B at q = 3 has a tangent, and each point's least
+    tangent is the pinned one, not only the tangency witnesses' reduction."""
+    bundle = bundle_q3
+    mres = verify.minimality_check(bundle.B, bundle.coverage)
+    assert mres.minimal and len(mres.essential) == len(bundle.B) == 2683
+    text = json.dumps(mres.essential)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_Q3_MINIMALITY
+
+
 def test_seed_variants_build(bundle):
     alt = ex.example_build(2, 1)
     assert len(alt.B) == len(bundle.B)

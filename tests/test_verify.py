@@ -279,6 +279,9 @@ def _point_sets(draw):
 @given(_point_sets())
 @example(PointSet(_space(3, 2, 1), np.zeros(0, dtype=np.int64)))
 @example(PointSet(_space(3, 2, 1), np.arange(15)))  # every point inessential
+# in rank order a diagonal, two whole and a row point, with least tangents
+# 7, 4, 14 and 10: each kind names its tangent past the low tile
+@example(PointSet(_space(3, 2, 1), np.array([0, 7, 11, 13])))
 def test_tile_kernel_matches_naive_oracle(ps):
     cov = verify.blocking_check(ps)
     naive = verify.naive_coverage(ps)
@@ -310,7 +313,30 @@ def test_tile_batches_are_invisible(m, p, k, size, monkeypatch):
     assert tiles.tiles == 1 and tiles.chunk < len(tiles.diag)
     cov = verify.blocking_check(ps)
     assert np.array_equal(cov.counts, base.counts)
-    assert verify.minimality_check(ps, cov).essential == wit.essential
+    split = verify.minimality_check(ps, cov).essential
+    assert split == wit.essential
+    # and against the oracle: a tile's weighted sums add up over the chunks
+    naive = _least_tangents_naive(ps, verify.naive_coverage(ps))
+    assert split == [(int(r), w) for r, w in zip(ps.ranks, naive) if w >= 0]
+
+
+def test_split_batches_name_every_tangent(monkeypatch):
+    # the random sets above have no tangents.  The elliptic quadric
+    # x0.x1 + x2^2 - 3.x3^2 = 0 of PG(3, 7) (GF(7) is the integers mod 7)
+    # has 50 points, each on exactly one tangent plane, all past the low
+    # tile.  With the smallest batch its 42 diagonal points take two gathers
+    # per tile, so a tile's weighted sums add up over both
+    sp = _space(3, 7, 1)
+    v = pg.unrank_batch(sp, np.arange(sp.n_points))
+    form = v[:, 0] * v[:, 1] + v[:, 2] ** 2 - 3 * v[:, 3] ** 2
+    ps = PointSet(sp, np.flatnonzero(form % 7 == 0))
+    monkeypatch.setattr(verify, "_BATCH", 1)
+    tiles = verify._Tiles(sp, ps.vecs())
+    assert tiles.tiles == 1 and tiles.chunk < len(tiles.diag)
+    assert tiles.row.size and tiles.whole.size
+    naive = _least_tangents_naive(ps, verify.naive_coverage(ps))
+    assert len(ps) == 50 and min(naive) > sp.q
+    assert verify.blocking_check(ps).tangents.tolist() == naive
 
 
 def test_tiles_recount_pg3_729():
