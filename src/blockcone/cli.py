@@ -24,21 +24,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _np_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True,
-                      default=_np_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -301,18 +301,16 @@ def _choose_xprime_lines(xp: Subspace, t, t_tilde):
     sp = xp.space
     f = sp.field
     int_space = ProjSpace(2, f)
-    t_c = xp.coords_of(t)
-    tt_c = xp.coords_of(t_tilde)
+    duals = pg.unrank_batch(int_space, np.arange(int_space.n_points))
+    # internal coordinates of t and t_tilde, one per column
+    ts = np.stack([xp.coords_of(t), xp.coords_of(t_tilde)], axis=1)
     chosen: list[Subspace] = []
     chosen_duals: list[np.ndarray] = []
-    for d in range(int_space.n_points):
-        a = pg.unrank(int_space, d)
-        if pg.dot(int_space, a, t_c) == 0 or pg.dot(int_space, a, tt_c) == 0:
-            continue
+    for a in duals[matmul(duals, ts, f).all(axis=1)]:
         if len(chosen) == 2:
             # the putative common point of L1 and L2 must be off L3
             common = kernel_basis(np.stack(chosen_duals), f)
-            if pg.dot(int_space, a, common[0]) == 0:
+            if matmul(a[None], common[:1].T, f)[0, 0] == 0:
                 continue
         internal = kernel_basis(a[None, :], f)
         gens = matmul(internal, xp.mat, f)
@@ -433,8 +431,8 @@ class FamilyScanner:
         self.ranks = member_ranks(x_ranks, np.arange(members))
         self.duals = pg.unrank_batch(sp, self.ranks)
         xp_vec = model.spread_to_pg_vec(frame.xprime_index)
-        self.ht_mask = pg.dot(sp, self.duals,
-                              np.broadcast_to(xp_vec, self.duals.shape)) == 0
+        # as row @ duals.T, each term gathers a column of duals by a scalar
+        self.ht_mask = matmul(xp_vec[None], self.duals.T, sp.field)[0] == 0
         sup = model.tower.sup
         lut = np.zeros(sup.q, dtype=bool)
         lut[model.tower.embedding] = True
@@ -446,17 +444,12 @@ class FamilyScanner:
 
     def _form_values(self, u) -> np.ndarray:
         model = self.model
-        r, n = model.r, model.n
-        sup = model.tower.sup
+        tower, rn = model.tower, model.r * model.n
         u = np.asarray(u, dtype=np.int64)
-        blocks = u[: r * n].reshape(r, n)
-        big = model.tower.reconstitute(blocks)  # (r,) big-field coords
-        acc = None
-        for i in range(r):
-            term = sup.mul_table[self.duals[:, i], int(big[i])]
-            acc = term if acc is None else sup.add_table[acc, term]
-        last = int(model.tower.embedding[u[-1]])
-        return sup.add_table[acc, sup.mul_table[self.duals[:, r], last]]
+        # u's big-field coordinates: r reconstituted blocks, the last embedded
+        big = np.append(tower.reconstitute(u[:rn].reshape(model.r, model.n)),
+                        tower.embedding[u[-1]])
+        return matmul(big[None], self.duals.T, tower.sup)[0]
 
     def membership(self, u) -> np.ndarray:
         """Boolean vector over the family: u in S7?"""

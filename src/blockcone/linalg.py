@@ -57,12 +57,17 @@ def kernel_basis(mat: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def matmul(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """(N, k) @ (k, m) over the field."""
+    """(N, k) @ (k, m) over the field, the package's one GF(q) sum of
+    products: incidence, membership and linear forms are all this.  The sum
+    starts from the first product, one table gather per term; k = 0 gives
+    int64 zeros."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     add, mul = field.add_table, field.mul_table
-    out = np.zeros(A.shape[:-1] + (B.shape[1],), dtype=np.int64)
-    for j in range(A.shape[-1]):
+    if A.shape[-1] == 0:
+        return np.zeros(A.shape[:-1] + (B.shape[1],), dtype=np.int64)
+    out = mul[A[..., :1], B[0][None, :]]
+    for j in range(1, A.shape[-1]):
         out = add[out, mul[A[..., j : j + 1], B[j][None, :]]]
     return out
 

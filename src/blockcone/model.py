@@ -130,9 +130,8 @@ class BCModel:
         return pg.normalize_batch(self.pi_space, out)
 
     def spread_to_pg_vec(self, index: int) -> np.ndarray:
-        x = pg.unrank(self.spread.big_space, index)
-        out = np.concatenate([x, np.zeros(1, dtype=np.int64)])
-        return pg.normalize(self.pi_space, out)
+        # x is canonical, so (x, 0) is too
+        return np.append(pg.unrank(self.spread.big_space, index), 0)
 
     # -- hyperplane blow-up --------------------------------------------------
 

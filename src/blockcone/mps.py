@@ -140,7 +140,7 @@ def frame_make(model: BCModel, s: int, seed: int = 0,
             f = matmul(c[None, :], kernel, sint.field)[0]
             # the form must not vanish on all of the remaining Omega part;
             # every chosen form does, so such a form is independent of them
-            if pg.dot(sint, part.mat, np.broadcast_to(f, part.mat.shape)).any():
+            if matmul(part.mat, f[:, None], sint.field).any():
                 forms.append(f)
                 break
         else:
@@ -223,7 +223,7 @@ def _affine_part(frame: MPSFrame, bbar: PointSet) -> np.ndarray:
     in_sigma = vecs[:, -1] == 0
     if not np.array_equal(bbar.ranks[in_sigma], frame.theta_ranks):
         raise GeometryError("Bbar cap Sigma != Theta")
-    if not _inside(frame.gamma_prime_forms, vecs, bbar.space.field).all():
+    if matmul(vecs, frame.gamma_prime_forms.T, bbar.space.field).any():
         raise GeometryError("Bbar is not contained in Gamma'")
     return vecs[~in_sigma]
 
@@ -243,11 +243,6 @@ def mps_build(frame: MPSFrame, bbar: PointSet) -> PointSet:
     return out
 
 
-def _inside(forms: np.ndarray, vecs: np.ndarray, field) -> np.ndarray:
-    """Mask of the rows of vecs on which every form vanishes."""
-    return ~matmul(vecs, forms.T, field).any(axis=1)
-
-
 def _family_table(frame: MPSFrame,
                   aff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The family's member ranks, and the (points, members) boolean table of
@@ -257,7 +252,7 @@ def _family_table(frame: MPSFrame,
     model = frame.model
     ranks, duals = frame.family
     pts = cone_image_vecs(model, frame.omega_rows, aff)
-    on = pg.dot(model.pi_space, pts[:, None, :], duals[None, :, :]) == 0
+    on = matmul(pts, duals.T, model.pi_space.field) == 0
     return ranks, on.reshape(len(aff), len(frame.omega_rows),
                              len(ranks)).any(axis=1)
 

@@ -83,17 +83,6 @@ class ProjSpace:
 # canonical points and ranking
 
 
-def normalize(space: ProjSpace, vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.int64)
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        raise GeometryError("zero vector has no projective class")
-    lead = int(v[nz[0]])
-    if lead != 1:
-        v = space.field.mul_table[space.field.inv_table[lead], v]
-    return v
-
-
 def normalize_batch(space: ProjSpace, vecs: np.ndarray) -> np.ndarray:
     v = np.asarray(vecs, dtype=np.int64)
     piv = np.argmax(v != 0, axis=1)
@@ -132,19 +121,6 @@ def unrank_batch(space: ProjSpace, ranks: np.ndarray) -> np.ndarray:
     out %= q
     out[np.arange(len(r)), piv] = 1
     return out
-
-
-def incident(pt_vec, hyp_vec, space: ProjSpace) -> bool:
-    return dot(space, np.asarray(pt_vec), np.asarray(hyp_vec)) == 0
-
-
-def dot(space: ProjSpace, u: np.ndarray, v: np.ndarray):
-    f = space.field
-    acc = None
-    for i in range(space.m + 1):
-        term = f.mul_table[u[..., i], v[..., i]]
-        acc = term if acc is None else f.add_table[acc, term]
-    return acc
 
 
 def incident_dual_ranks(space: ProjSpace, vec) -> np.ndarray:
@@ -439,13 +415,19 @@ def load_point_set(path) -> PointSet:
         p, k, width = map(int, header)
         space = ProjSpace(width - 1, cached_field(p, k))
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             row = list(map(int, line.split()))
             if len(row) != width:
                 raise GeometryError(f"bad point width in {path}")
+            if not all(0 <= x < space.q for x in row):
+                raise GeometryError(f"{path}, line {lineno}: entry outside "
+                                    f"GF({space.q})")
+            if not any(row):
+                raise GeometryError(f"{path}, line {lineno}: zero vector has "
+                                    f"no projective class")
             rows.append(row)
     if not rows:
         return PointSet(space, np.zeros(0, dtype=np.int64))

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pg
+from .linalg import matmul
 from .pg import PointSet, ProjSpace, span_in
 
 _SAT = 255
@@ -272,17 +273,18 @@ def minimality_check(ps: PointSet, coverage: CoverageResult) -> MinimalityResult
 
 def naive_coverage(ps: PointSet) -> np.ndarray:
     """Independent oracle: for each hyperplane, the number of set points on
-    it, by a dot product over (hyperplanes x points) in chunks of points.
+    it, by `linalg.matmul` of all the duals with a chunk of points at a time.
     Only for spaces small enough to enumerate densely."""
     space = ps.space
     if space.n_points > 10**4:
         raise ValueError("naive oracle restricted to <= 10^4 hyperplanes")
-    duals = pg.unrank_batch(space, np.arange(space.n_points))[:, None, :]
+    duals = pg.unrank_batch(space, np.arange(space.n_points))
     vecs = ps.vecs()
     counts = np.zeros(space.n_points, dtype=np.int64)
     step = max(1, _SCAN_CHUNK // space.n_points)
     for lo in range(0, len(vecs), step):
-        counts += (pg.dot(space, duals, vecs[None, lo:lo + step]) == 0).sum(1)
+        counts += (matmul(duals, vecs[lo:lo + step].T, space.field)
+                   == 0).sum(1)
     return counts
 
 

@@ -4,11 +4,11 @@ smallest instance (q1=2, n=2, r=2, s=0): PG(2, 4) modelled in PG(4, 2).
 A cone with vertex a point Omega of X is, off Sigma, a union of affine lines
 of Sigma' through Omega; seen in Pi_r it is that union together with the
 point X.  The oracle lists every such union and classifies it by direct
-incidence against the lines of Pi_r.  It uses only pg rank/unrank/dot and the
-model's point maps, nothing of `mps`, `verify` or `example36`, so it can
-certify what the cone code produces.  The two single-point maps between Pi_r
-and Sigma' (`bc_to_pg_vec`, `pg_to_bc`) live here too: the program maps
-affine points in batches only.
+incidence against the lines of Pi_r.  It uses only pg rank/unrank,
+`linalg.matmul` and the model's point maps, nothing of `mps`, `verify` or
+`example36`, so it can certify what the cone code produces.  The two
+single-point maps between Pi_r and Sigma' (`bc_to_pg_vec`, `pg_to_bc`) live
+here too: the program maps affine points in batches only.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import itertools
 import numpy as np
 
 from blockcone import pg
+from blockcone.linalg import matmul
 
 
 def bc_to_pg_vec(model, vec) -> np.ndarray:
@@ -32,14 +33,14 @@ def pg_to_bc(model, vec):
     v = sup.mul_table[sup.inv_table[v[-1]], v]
     blocks = model.tower.coords(v[:-1]).reshape(-1)
     out = np.concatenate([blocks, np.ones(1, dtype=np.int64)])
-    return pg.normalize(model.sigma_prime, out)
+    return pg.normalize_batch(model.sigma_prime, out[None])[0]
 
 
 def pi_incidence(model) -> np.ndarray:
     """Boolean (line rank, point rank) incidence matrix of Pi_r."""
     pi = model.pi_space
     vecs = pg.unrank_batch(pi, np.arange(pi.n_points))
-    return pg.dot(pi, vecs[:, None, :], vecs[None, :, :]) == 0
+    return matmul(vecs, vecs.T, pi.field) == 0
 
 
 def x_rank(model) -> int:

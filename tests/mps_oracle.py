@@ -16,6 +16,7 @@ import itertools
 
 import numpy as np
 
+from blockcone.linalg import matmul
 from blockcone.pg import GeometryError, PointSet, meet, span, span_in
 from blockcone.verify import triviality_check
 from blockcone import pg
@@ -30,7 +31,7 @@ def family_enumerate(frame):
     xvec = model.spread_to_pg_vec(model.x_index)
     for rank in range(sp.n_points):
         a = pg.unrank(sp, rank)
-        if pg.incident(xvec, a, sp):
+        if matmul(a[None], xvec[:, None], sp.field)[0, 0] == 0:
             continue
         blow = model.hyperplane_blowup(a)
         I = meet(span([blow, frame.omega]), frame.gamma_prime)

@@ -140,12 +140,8 @@ def _least_h_by_full_scan(model, Xprime, gamma_prime, pi):
         vecs = pg.unrank_batch(sp, np.arange(lo, min(lo + (1 << 13),
                                                      sp.n_points)))
         ok = vecs[:, -1] != 0
-        for fvec in gp_forms:
-            ok &= pg.dot(sp, vecs, np.broadcast_to(fvec, vecs.shape)) == 0
-        out_w = np.zeros(len(vecs), dtype=bool)
-        for fvec in w_forms:
-            out_w |= pg.dot(sp, vecs, np.broadcast_to(fvec, vecs.shape)) != 0
-        ok &= out_w
+        ok &= ~linalg.matmul(vecs, gp_forms.T, sp.field).any(axis=1)
+        ok &= linalg.matmul(vecs, w_forms.T, sp.field).any(axis=1)
         if np.any(ok):
             return vecs[np.argmax(ok)]
     raise AssertionError("no admissible h")
@@ -183,8 +179,8 @@ def test_gamma_is_least_form_through_xprime_missing_p(frames_q2):
         model = fr.model
         on_xp = ~linalg.matmul(forms, fr.Xprime.mat[:, :9].T,
                                sint.field).any(axis=1)
-        off_p = pg.dot(sint, forms, np.broadcast_to(model.vertex_p[:9],
-                                                     forms.shape)) != 0
+        off_p = linalg.matmul(forms, model.vertex_p[:9, None],
+                              sint.field)[:, 0] != 0
         least = forms[np.argmax(on_xp & off_p)]
         gamma = fr.mps.gamma
         assert not gamma.mat[:, 9].any()
@@ -402,13 +398,6 @@ def test_cone_image_refuses_shared_lines(bundle):
         ex.cone_image(fr.mps, ps)
 
 
-@pytest.fixture(scope="module")
-def bundle_q3():
-    """The q = 3 seed-0 bundle, shared so that its theorems read one count
-    of B."""
-    return ex.example_build(3, 0)
-
-
 def test_q3_spectrum_theorems(bundle_q3):
     """Both spectra at q = 3 over all q^18 family members: the values lie in
     the proved sets, each member is counted once, and the double count
@@ -463,15 +452,16 @@ def test_q3_tangency_witnesses(bundle_q3):
     union = fr.bbar.union(fr.btilde)
     image = ex.cone_image(fr.mps, union)
     duals = pg.unrank_batch(sp, np.array([w["witness"] for w in ws]))
-    on = np.stack([pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0
-                   for v in image.vecs()], axis=1)
-    x = model.spread_to_pg_vec(model.x_index)
-    xp = model.spread_to_pg_vec(fr.xprime_index)
+    on = linalg.matmul(duals, image.vecs().T, sp.field) == 0
+    # each witness's values on X and on X'
+    x_xp = linalg.matmul(duals, np.stack(
+        [model.spread_to_pg_vec(i) for i in (model.x_index, fr.xprime_index)],
+        axis=1), sp.field)
     for i, w in enumerate(ws):
         own = ex.cone_image(fr.mps, PointSet(model.sigma_prime, [w["point"]]))
         assert on[i].sum() == 1 and image.ranks[on[i]][0] in own
-        assert pg.dot(sp, duals[i], x) != 0
-        through_xp = bool(pg.dot(sp, duals[i], xp) == 0)
+        assert x_xp[i, 0] != 0
+        through_xp = bool(x_xp[i, 1] == 0)
         assert through_xp == w["in_xprime_family"] == (w["part"] == "bbar")
         assert (w["point"] in fr.bbar) == (w["part"] == "bbar")
     text = json.dumps(ws, sort_keys=True)

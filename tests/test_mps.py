@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockcone import pg, verify
+from blockcone.linalg import matmul
 from blockcone.model import make_model
 from blockcone.mps import (MPSFrame, cone, f_blocking_check,
                            f_search_minimal, frame_make, mps_build,
@@ -202,7 +203,7 @@ def test_hyperplanes_avoiding_x_count(frame):
     qn = model.q1**model.n
     assert len(ranks) == qn**model.r
     xvec = model.spread_to_pg_vec(model.x_index)
-    expect = [r for r in range(sp.n_points)
-              if not pg.incident(xvec, pg.unrank(sp, r), sp)]
-    assert ranks.tolist() == expect
+    every = pg.unrank_batch(sp, np.arange(sp.n_points))
+    expect = np.flatnonzero(matmul(every, xvec[:, None], sp.field)[:, 0])
+    assert np.array_equal(ranks, expect)
     assert np.array_equal(duals, pg.unrank_batch(sp, ranks))

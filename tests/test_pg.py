@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockcone import linalg, pg
+from blockcone import cli, linalg, pg
 from blockcone.gf import cached_field
 from blockcone.pg import (GeometryError, PointSet, ProjSpace, Subspace,
                           load_point_set, meet, save_point_set, span, span_in)
@@ -50,16 +50,20 @@ def test_normalize_scale_invariance_exhaustive_gf4():
     vec = rng.integers(0, 4, size=(50, 4))
     vec[vec.sum(axis=1) == 0, 0] = 1
     f = sp.field
-    for v in vec:
-        base = pg.normalize(sp, v)
-        for lam in range(1, 4):
-            assert np.array_equal(pg.normalize(sp, f.mul_table[lam, v]), base)
+    base = pg.normalize_batch(sp, vec)
+    assert np.all(base[np.arange(len(base)), np.argmax(base != 0, axis=1)]
+                  == 1)
+    for lam in range(1, 4):
+        assert np.array_equal(pg.normalize_batch(sp, f.mul_table[lam, vec]),
+                              base)
 
 
-def test_zero_vector_rejected():
+def test_zero_vector_rejected(tmp_path):
     sp = _space(3, 2, 1)
-    with pytest.raises(GeometryError):
-        pg.normalize(sp, np.zeros(4, dtype=np.int64))
+    path = tmp_path / "zero.txt"
+    path.write_text("2 1 4\n0 0 0 0\n")
+    with pytest.raises(GeometryError, match="zero vector"):
+        load_point_set(path)
     with pytest.raises(GeometryError):
         pg.unrank(sp, sp.n_points)
 
@@ -69,6 +73,29 @@ def test_zero_vector_rejected():
 def test_rank_unrank_hypothesis_pg54(r):
     sp = _space(5, 2, 2)
     assert pg.rank_of(sp, pg.unrank(sp, r)) == r
+
+
+# -- the one sum of products --------------------------------------------------
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 6)])
+def test_matmul_is_the_entrywise_sum_of_products(p, k):
+    # every incidence oracle of the tests is a linalg.matmul, so it is pinned
+    # to the definition: entry (i, l) is the sum over j of A[i, j].B[j, l],
+    # folded one table lookup at a time; k = 0 gives int64 zeros
+    f = cached_field(p, k)
+    add, mul = f.add_table, f.mul_table
+    rng = np.random.default_rng(f.q)
+    for width in range(10):
+        A = rng.integers(0, f.q, size=(6, width))
+        B = rng.integers(0, f.q, size=(width, 4))
+        expect = np.zeros((6, 4), dtype=np.int64)
+        for i, l in np.ndindex(expect.shape):
+            for j in range(width):
+                expect[i, l] = add[expect[i, l], mul[A[i, j], B[j, l]]]
+        got = linalg.matmul(A, B, f)
+        assert got.shape == (6, 4) and np.array_equal(got, expect)
+        if width == 0:
+            assert got.dtype == np.int64
 
 
 # -- incidence ---------------------------------------------------------------
@@ -81,7 +108,7 @@ def test_incident_dual_ranks_vs_bruteforce(m, p, k):
     for r in rng.integers(0, sp.n_points, size=20):
         v = pg.unrank(sp, int(r))
         expect = np.flatnonzero(
-            pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0)
+            linalg.matmul(duals, v[:, None], sp.field)[:, 0] == 0)
         got = pg.incident_dual_ranks(sp, v)
         assert np.array_equal(got, expect)
         assert got.size == sp.hyperplanes_per_point()
@@ -98,7 +125,7 @@ def test_incident_dual_ranks_every_point(m, p, k):
     for v in duals:
         last_nonzero.add(int(np.flatnonzero(v)[-1]))
         expect = np.flatnonzero(
-            pg.dot(sp, duals, np.broadcast_to(v, duals.shape)) == 0)
+            linalg.matmul(duals, v[:, None], sp.field)[:, 0] == 0)
         got = pg.incident_dual_ranks(sp, v)
         assert got.size == sp.hyperplanes_per_point()
         assert np.array_equal(got, expect)
@@ -115,7 +142,7 @@ def test_incident_dual_ranks_spot_check_pg3_729():
         assert got.min() >= 0 and got.max() < sp.n_points
         assert np.all(np.diff(got) > 0)
         sample = pg.unrank_batch(sp, rng.choice(got, size=64, replace=False))
-        assert np.all(pg.dot(sp, sample, np.broadcast_to(v, sample.shape)) == 0)
+        assert not linalg.matmul(sample, v[:, None], sp.field).any()
 
 
 @pytest.mark.parametrize("m,p,k", [(3, 3, 1), (4, 2, 2), (5, 2, 1),
@@ -191,8 +218,7 @@ def test_subspace_point_enumeration_and_membership():
     # dual forms vanish exactly on the subspace
     forms = A.dual_forms()
     assert forms.shape[0] == sp.m - A.dim
-    for fvec in forms:
-        assert np.all(pg.dot(sp, pts, np.broadcast_to(fvec, pts.shape)) == 0)
+    assert not linalg.matmul(pts, forms.T, sp.field).any()
 
 
 @pytest.mark.parametrize("m,p,k", [(5, 2, 1), (4, 3, 1), (4, 2, 2),
@@ -291,8 +317,19 @@ def test_pointset_file_renormalizes_with_warning(tmp_path):
     assert np.array_equal(ps.vecs()[0], [1, 1, 0])
 
 
-def test_pointset_file_malformed(tmp_path):
+def test_pointset_file_malformed(tmp_path, capsys):
     path = tmp_path / "broken.txt"
-    path.write_text("2 2\n")
-    with pytest.raises(GeometryError):
-        load_point_set(path)
+    for text, match in [("2 2\n", "header"),
+                        ("2 2 3\n1 4 0\n", "line 2: entry outside GF"),
+                        ("2 2 3\n1 0 0\n\n0 -1 1\n",
+                         "line 4: entry outside GF"),
+                        ("2 2 3\n0 0 1\n0 0 0\n", "line 3: zero vector")]:
+        path.write_text(text)
+        with pytest.raises(GeometryError, match=match):
+            load_point_set(path)
+    # the CLI reads it as a usage error, not as a failed verification
+    path.write_text("2 1 5\n0 0 0 2 1\n")
+    rc = cli.main(["construct", "mps", "--q1", "2", "--n", "2", "--r", "2",
+                   "--s", "0", "--bbar", str(path)])
+    assert rc == cli.EXIT_USAGE
+    assert "entry outside GF(2)" in capsys.readouterr().err
