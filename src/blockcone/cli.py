@@ -186,6 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Blocking-set construction and exhaustive certification "
                     "in PG(r, q^n) via the spread cone model.")
     sub = top.add_subparsers(dest="command", required=True)
+    # the model and MPS frame options of `construct mps` and `search fblocking`
+    frame_opts = argparse.ArgumentParser(add_help=False)
+    for name in ("--q1", "--n", "--r", "--s"):
+        frame_opts.add_argument(name, type=int, required=True)
+    frame_opts.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("ff", help="finite field descriptor")
     p.add_argument("--p", type=int, required=True)
@@ -196,12 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a blocking set bundle")
     csub = p.add_subparsers(dest="construct_kind", required=True)
 
-    pm = csub.add_parser("mps", help="cone over a given Bbar")
-    pm.add_argument("--q1", type=int, required=True)
-    pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--r", type=int, required=True)
-    pm.add_argument("--s", type=int, required=True)
-    pm.add_argument("--seed", type=int, default=0)
+    pm = csub.add_parser("mps", parents=[frame_opts],
+                         help="cone over a given Bbar")
     pm.add_argument("--bbar", required=True)
     pm.add_argument("--out")
     pm.set_defaults(func=cmd_construct_mps)
@@ -214,12 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive searches")
     ssub = p.add_subparsers(dest="search_kind", required=True)
-    pf = ssub.add_parser("fblocking", help="minimal family-blocking sets")
-    pf.add_argument("--q1", type=int, required=True)
-    pf.add_argument("--n", type=int, required=True)
-    pf.add_argument("--r", type=int, required=True)
-    pf.add_argument("--s", type=int, required=True)
-    pf.add_argument("--seed", type=int, default=0)
+    pf = ssub.add_parser("fblocking", parents=[frame_opts],
+                         help="minimal family-blocking sets")
     pf.add_argument("--max-size", type=int, required=True)
     pf.add_argument("--out")
     pf.set_defaults(func=cmd_search_fblocking)

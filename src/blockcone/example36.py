@@ -13,6 +13,7 @@ cone-over-hyperplane-blocking-set family on divisibility grounds.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,13 +121,12 @@ def frame36_make(q: int, seed: int = 0) -> Example36Frame:
     V = baer_subplane(pi, q_tilde, tangent, q, seed=seed)
 
     L = _unique_real_line_through(t, V, q)
-    vl = sorted(set(int(x) for x in V.ranks)
-                & set(int(x) for x in L.point_ranks()))
-    s_pt = pg.unrank(sp, vl[0])
+    s_pt = pg.unrank(sp, int(np.intersect1d(V.ranks, L.point_ranks(),
+                                            assume_unique=True)[0]))
 
     bbar = _bbar_build(model, r_pt, V, L, s_pt, frame0.theta_ranks)
 
-    t_tilde = t_tilde_find(model, Xprime, t, r_pt, model.vertex_p)
+    t_tilde = t_tilde_find(model, Xprime, t, r_pt)
 
     lines_xp = _choose_xprime_lines(Xprime, t, t_tilde)
     h = _least_h(model, Xprime, frame0.gamma_prime, pi)
@@ -145,35 +145,26 @@ def frame36_make(q: int, seed: int = 0) -> Example36Frame:
 # Baer subplanes and line classification
 
 
-def _solve_square(cols: np.ndarray, rhs: np.ndarray, field) -> np.ndarray:
-    """Solve cols @ x = rhs for square cols over the field."""
-    aug = np.hstack([cols, rhs[:, None]])
-    R, piv = rref(aug, field)
-    n = cols.shape[1]
-    if piv[-1:] == (n,) or len(piv) != n:
-        raise GeometryError("singular system")
-    x = np.zeros(n, dtype=np.int64)
-    for row, pc in enumerate(piv):
-        x[pc] = R[row, -1]
-    return x
-
-
 def baer_subplane(pi: Subspace, q_tilde: np.ndarray, tangent_line: Subspace,
                   q: int, seed: int = 0) -> PointSet:
     """Subfield subplane of order q inside the plane pi (order q^2) through
     q_tilde, chosen by deterministic quadrangle search so that it meets the
-    tangent line exactly in {q_tilde}."""
+    tangent line exactly in {q_tilde}.  The points are walked as their
+    coefficient vectors on pi.mat, in rank order (`Subspace.point_vecs`): a
+    quadrangle (e0, e1, e2, d) frames a subplane iff the RREF of the columns
+    [e0 e1 e2 d] has pivots (0, 1, 2) and a last column c with no zero."""
     space = pi.space
     big = space.field  # GF(q^2)
     p, e = prime_power(q)
     small = cached_field(p, e)
     emb = subfield_embed(small, big)
 
-    pts = pi.point_vecs()
     qt_rank = pg.rank_of(space, q_tilde)
-    cand = [v for v in pts if pg.rank_of(space, v) != qt_rank]
-    tangent_ranks = set(int(x) for x in tangent_line.point_ranks())
+    tangent_ranks = tangent_line.point_ranks()
     e0 = pi.coords_of(q_tilde)
+    coeff = ProjSpace(2, big)
+    cand = pg.unrank_batch(coeff, np.arange(coeff.n_points))
+    cand = cand[np.any(cand != e0, axis=1)]
 
     coeff_small = pg.unrank_batch(ProjSpace(2, small),
                                   np.arange(q * q + q + 1))
@@ -184,15 +175,11 @@ def baer_subplane(pi: Subspace, q_tilde: np.ndarray, tangent_line: Subspace,
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                trio = [cand[(i + offset) % n], cand[(j + offset) % n],
-                        cand[(k + offset) % n]]
-                e1, e2, d = (pi.coords_of(v) for v in trio)
-                M = np.stack([e0, e1, e2], axis=1)  # columns
-                try:
-                    c = _solve_square(M, d, big)
-                except GeometryError:
-                    continue
-                if not np.all(c):  # some 3 of the quadrangle are collinear
+                e1, e2, d = cand[[(i + offset) % n, (j + offset) % n,
+                                  (k + offset) % n]]
+                R, piv = rref(np.stack([e0, e1, e2, d], axis=1), big)
+                c = R[:, -1]
+                if piv != (0, 1, 2) or not np.all(c):
                     continue
                 rows = np.stack([big.mul_table[c[0], e0],
                                  big.mul_table[c[1], e1],
@@ -202,8 +189,8 @@ def baer_subplane(pi: Subspace, q_tilde: np.ndarray, tangent_line: Subspace,
                 V = PointSet.from_vecs(space, vecs)
                 if len(V) != q * q + q + 1:
                     raise GeometryError("degenerate subfield subplane")
-                hit = tangent_ranks & set(int(x) for x in V.ranks)
-                if hit == {qt_rank}:
+                hit = tangent_ranks[verify.in_sorted(V.ranks, tangent_ranks)]
+                if np.array_equal(hit, [qt_rank]):
                     return V
     raise GeometryError("no admissible Baer subplane (cannot happen)")
 
@@ -217,7 +204,8 @@ def line_class(line: Subspace, target: PointSet, q: int,
         raise GeometryError("line expected")
     if vertex is not None and line.contains(vertex):
         raise GeometryError("line through the cone vertex")
-    hits = sum(1 for r in line.point_ranks() if int(r) in target)
+    hits = int(np.count_nonzero(verify.in_sorted(target.ranks,
+                                                 line.point_ranks())))
     if hits == q + 1:
         return "real", hits
     if hits == 1:
@@ -229,9 +217,10 @@ def line_class(line: Subspace, target: PointSet, q: int,
 
 def _unique_real_line_through(t: np.ndarray, V: PointSet, q: int) -> Subspace:
     """The one real line through t, a point of V's plane off V: a real line
-    meets V, so it is among the spans of t with V's points."""
-    lines = {span_in(V.space, [t, v]) for v in V.vecs()}
-    real = [L for L in lines if line_class(L, V, q)[0] == "real"]
+    meets V, so it is among the spans of t with V's points, spanned by
+    q + 1 of them."""
+    lines = Counter(span_in(V.space, [t, v]) for v in V.vecs())
+    real = [L for L, hits in lines.items() if hits == q + 1]
     if len(real) != 1:
         raise GeometryError(f"expected one real line through t, got {len(real)}")
     return real[0]
@@ -258,8 +247,7 @@ def _bbar_build(model: BCModel, r_pt, V: PointSet, L: Subspace, s_pt,
     return bbar
 
 
-def t_tilde_find(model: BCModel, Xprime: Subspace, t, r_pt,
-                 p_vec) -> np.ndarray:
+def t_tilde_find(model: BCModel, Xprime: Subspace, t, r_pt) -> np.ndarray:
     """The unique point of X' \\ {t} lying, over the vertex p, above the
     regulus of the line <t, r_pt>, cross-checked against the regulus
     characterization.
@@ -270,11 +258,10 @@ def t_tilde_find(model: BCModel, Xprime: Subspace, t, r_pt,
     exactly the elements through the points y - a.p, a in GF(q1), all on
     <X, X'> (a = 0 gives X', on the regulus).  Those elements are computed
     for every y in one batch; y qualifies iff all of them meet <t, r_pt>."""
-    sp = model.sigma_prime
+    sp, p_vec = model.sigma_prime, model.vertex_p
     f = model.tower.sub
     rn = model.r * model.n
-    line_tr = span_in(sp, [t, r_pt])
-    reg = set(model.regulus_of_line(line_tr))
+    reg = model.regulus_of_line(span_in(sp, [t, r_pt]))
 
     xp_pts = Xprime.point_vecs()
     ys = xp_pts[np.any(xp_pts != t, axis=1)]
@@ -282,15 +269,13 @@ def t_tilde_find(model: BCModel, Xprime: Subspace, t, r_pt,
                                        p_vec[None, :rn]]]  # (q1, rn)
     diffs = f.add_table[ys[:, None, :rn], minus_ap[None, :, :]]
     idx = model.spread.elements_of_vecs(diffs.reshape(-1, rn))
-    alive = np.isin(idx, sorted(reg)).reshape(len(ys), f.q).all(axis=1)
+    alive = np.isin(idx, reg).reshape(len(ys), f.q).all(axis=1)
     if alive.sum() != 1:
         raise GeometryError(
             f"regulus point not unique: {alive.sum()} qualifiers")
     t_tilde = ys[np.argmax(alive)]
 
-    ell = span_in(sp, [p_vec, t_tilde])
-    reg2 = set(model.regulus_of_line(ell))
-    if reg != reg2:
+    if reg != model.regulus_of_line(span_in(sp, [p_vec, t_tilde])):
         raise GeometryError("regulus characterization disagrees with the scan")
     return t_tilde
 
@@ -420,19 +405,11 @@ class FamilyScanner:
 
     def __init__(self, frame: Example36Frame):
         self.model = model = frame.model
-        sp = model.pi_space
-        # int64 indices and ranks of the members, then their int64 duals:
-        # about 18.6 GB at q = 3
-        members = sp.n_points - sp.hyperplanes_per_point()
-        pg.check_budget(8 * (sp.m + 3) * members,
-                        f"family scan over the hyperplanes of {sp}")
-        x_ranks = pg.incident_dual_ranks(
-            sp, model.spread_to_pg_vec(model.x_index))
-        self.ranks = member_ranks(x_ranks, np.arange(members))
-        self.duals = pg.unrank_batch(sp, self.ranks)
+        self.ranks, self.duals = frame.mps.family
         xp_vec = model.spread_to_pg_vec(frame.xprime_index)
         # as row @ duals.T, each term gathers a column of duals by a scalar
-        self.ht_mask = matmul(xp_vec[None], self.duals.T, sp.field)[0] == 0
+        self.ht_mask = matmul(xp_vec[None], self.duals.T,
+                              model.pi_space.field)[0] == 0
         sup = model.tower.sup
         lut = np.zeros(sup.q, dtype=bool)
         lut[model.tower.embedding] = True

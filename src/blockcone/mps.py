@@ -87,8 +87,12 @@ class MPSFrame:
         """Member ranks (hyperplanes of Pi_r missing X), which are the ranks
         missing from X's, and their duals."""
         sp = self.model.pi_space
-        ranks = member_ranks(self.x_ranks,
-                             np.arange(sp.n_points - self.x_ranks.size))
+        members = sp.n_points - sp.hyperplanes_per_point()
+        # int64 indices and ranks of the members, then their int64 duals:
+        # about 18.6 GB at q = 3
+        pg.check_budget(8 * (sp.m + 3) * members,
+                        f"family of the hyperplanes of {sp} missing X")
+        ranks = member_ranks(self.x_ranks, np.arange(members))
         return ranks, pg.unrank_batch(sp, ranks)
 
     @cached_property

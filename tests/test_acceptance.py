@@ -113,7 +113,7 @@ def test_criterion_06_lemma3_unique_t_tilde():
     # t_tilde_find raises unless the direct scan yields exactly one point and
     # the regulus characterization agrees
     try:
-        tt = ex.t_tilde_find(m, fr.Xprime, fr.t, fr.r_pt, m.vertex_p)
+        tt = ex.t_tilde_find(m, fr.Xprime, fr.t, fr.r_pt)
         ok = n_xprime == 21 and np.array_equal(tt, fr.t_tilde)
         detail = f"1 qualifier among {n_xprime} X' points, scans agree"
     except Exception as exc:

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -577,3 +580,28 @@ def test_readme_cli_block_parses():
     parser = cli.build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_cli_paths_leave_numpy_ma_unimported(tmp_path):
+    """construct, verify with all six checks and a search, in one fresh
+    process, never import numpy.ma: np.unique, and intersect1d or setdiff1d
+    without assume_unique, import it on their first call, at 10-30 ms per
+    process."""
+    src = Path(cli.__file__).resolve().parent.parent
+    bundle = tmp_path / "b.json"
+    code = f"""
+import contextlib, os, sys
+from blockcone import cli
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    assert cli.main(["construct", "example36", "--q", "2",
+                     "--out", {str(bundle)!r}]) == 0
+    assert cli.main(["verify", "--bundle", {str(bundle)!r}, "--checks",
+                     "blocking,minimal,trivial,planar,spectrum,tangency"]) == 0
+    assert cli.main(["search", "fblocking", "--q1", "2", "--n", "3",
+                     "--r", "2", "--s", "1", "--max-size", "17"]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -104,8 +104,7 @@ def test_t_tilde_unique_and_regulus_consistent(frame):
     reg2 = set(m.regulus_of_line(span_in(sp, [m.vertex_p, frame.t_tilde])))
     assert reg == reg2 and len(reg) == m.q1 + 1
     # rebuilding the frame reproduces the same point (determinism)
-    again = ex.t_tilde_find(m, frame.Xprime, frame.t, frame.r_pt,
-                            m.vertex_p)
+    again = ex.t_tilde_find(m, frame.Xprime, frame.t, frame.r_pt)
     assert np.array_equal(again, frame.t_tilde)
 
 
@@ -193,7 +192,7 @@ def test_t_tilde_batch_matches_definition_scan(frames_q2):
         m = fr.model
         sp = m.sigma_prime
         expect = _t_tilde_qualifiers_by_scan(fr, fr.t, fr.r_pt, m.vertex_p)
-        got = ex.t_tilde_find(m, fr.Xprime, fr.t, fr.r_pt, m.vertex_p)
+        got = ex.t_tilde_find(m, fr.Xprime, fr.t, fr.r_pt)
         assert expect == {pg.rank_of(sp, got)}
         assert np.array_equal(got, fr.t_tilde)
 
@@ -218,10 +217,16 @@ def test_least_h_matches_full_scan_across_chunks(frames_q2, monkeypatch):
     _check_least_h(frames_q2)
 
 
-def test_least_h_q3_rank(bundle_q3):
+@pytest.fixture(scope="module")
+def bundles_q3_seeds():
+    """The q = 3 bundles of seeds 1 to 7 (seed 0 is `bundle_q3`)."""
+    return {s: ex.example_build(3, s) for s in range(1, 8)}
+
+
+def test_least_h_q3_rank(bundle_q3, bundles_q3_seeds):
     # h is coefficient vector 66,431 of Gamma', in the walk's ninth chunk;
     # its Sigma' rank is the same for every seed
-    frames = [bundle_q3.frame] + [ex.frame36_make(3, s) for s in range(1, 8)]
+    frames = [b.frame for b in [bundle_q3, *bundles_q3_seeds.values()]]
     for fr in frames:
         assert pg.rank_of(fr.model.sigma_prime, fr.h) == 597_872
 
@@ -527,6 +532,36 @@ def test_bundles_match_golden_hashes(bundles_q2, bundle_q3):
         text = json.dumps(ex.bundle_to_dict(bundle))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             _GOLDEN_BUNDLES[key], key
+
+
+# the same sha256 for the q = 3 bundles of seeds 1 to 7, whose frames differ
+# in X' and in the start of the Baer quadrangle search
+_GOLDEN_Q3_SEED_BUNDLES = {
+    1: "f67749af7ded563317688f227ea45b47cda5c94cdb58445dd96312f74e39c53d",
+    2: "fc3950c0f85b34bae047f59ba41ab5f8ef69da46c0647d2cbba368f9c0a4517d",
+    3: "40b488d29bc65da031c882aff763adce4bcdb5335e759b430d17a2470a66c3f1",
+    4: "e4b9c035a9e49306c747a10193b1038d805b9588789cf4dbeabc8a640f71c9bb",
+    5: "c183681a96192a4860946f25006e41473c614a09ebc21fda0afb14e18122b8b8",
+    6: "3fbe17e7eaed3a93e3360d2ca7ab61553748a3a75bd14bde82ad4c543b967e88",
+    7: "acb63a7b41b3aa75d59ceb127f54fc9331320ea334cccccd6de6266fc30fbb54",
+}
+
+
+def test_q3_seed_bundles_match_golden_hashes(bundles_q3_seeds):
+    for seed, bundle in bundles_q3_seeds.items():
+        text = json.dumps(ex.bundle_to_dict(bundle))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            _GOLDEN_Q3_SEED_BUNDLES[seed], seed
+
+
+def test_family_enumeration_refused_at_q3(bundle_q3):
+    # the 387,420,489 members of PG(3, 729) and their duals would take
+    # about 18.6 GB: the frame's family, and so FamilyScanner, refuse them
+    # before allocating
+    with pytest.raises(pg.ResourceError, match="GiB.*budget"):
+        bundle_q3.frame.mps.family
+    with pytest.raises(pg.ResourceError, match="GiB.*budget"):
+        ex.FamilyScanner(bundle_q3.frame)
 
 
 def test_excluder_values():
