@@ -115,6 +115,8 @@ def _load_any_bundle(path):
 
 
 def cmd_verify(args) -> int:
+    """The verify report and its verdict: blocking, minimal, not trivial,
+    not planar in dimension > 2 and no theorem violated, as far as asked."""
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not checks:
         raise GeometryError("no checks given")
@@ -123,47 +125,71 @@ def cmd_verify(args) -> int:
     bad = set(checks) - known
     if bad:
         raise GeometryError(f"unknown checks: {sorted(bad)}")
-    timings = {}
-    t0 = time.perf_counter()
-    B, manifest, bundle = _load_any_bundle(args.bundle)
-    timings["load"] = _ms_since(t0)
+    timings, ok = {}, True
+
+    # a theorem scan's GeometryError is its violation and fails the verdict
+    def timed(name, fn, *fn_args, theorem=False):
+        nonlocal ok
+        t0 = time.perf_counter()
+        try:
+            return fn(*fn_args)
+        except GeometryError as exc:
+            if not theorem:
+                raise
+            ok = False
+            return {"violation": str(exc)}
+        finally:
+            timings[name] = _ms_since(t0)
+
+    B, manifest, bundle = timed("load", _load_any_bundle, args.bundle)
     asked = {"spectrum", "tangency"} & set(checks)
     if asked and bundle is None:
         raise GeometryError(f"{min(asked)} check needs an example36 bundle")
-    # B's one count: the theorems read it, as blocking and minimality do
-    coverage = bundle.coverage if asked else None
-
-    # a GeometryError of a theorem scan is reported as its violation and
-    # fails the verdict
-    theorems, proved = {}, True
-
-    def scan(name, fn):
-        nonlocal proved
-        t0 = time.perf_counter()
-        try:
-            result = fn(bundle)
-        except GeometryError as exc:
-            result, proved = {"violation": str(exc)}, False
-        timings[name] = _ms_since(t0)
-        return result
-
+    report = {"config": {"command": "verify", "bundle": args.bundle,
+                         "checks": checks},
+              "manifest": manifest, "space": repr(B.space),
+              "sizes": {"set": len(B)}, "timings_ms": timings}
+    # B's one count, taken before the theorems, which read it too
+    if asked or {"blocking", "minimal"} & set(checks):
+        coverage = timed("blocking", lambda: verify.blocking_check(B)
+                         if bundle is None else bundle.coverage)
     if "spectrum" in checks:
-        spectra = theorems["spectra"] = scan("spectrum.parts",
-                                             example36.spectrum_scan)
-        spectra["structural"] = scan("spectrum.structural",
-                                     example36.structural_checks)
+        spectra = report["spectra"] = timed(
+            "spectrum.parts", example36.spectrum_scan, bundle, theorem=True)
+        spectra["structural"] = timed(
+            "spectrum.structural", example36.structural_checks, bundle,
+            theorem=True)
         timings["spectrum"] = round(timings["spectrum.parts"]
                                     + timings["spectrum.structural"], 3)
     if "tangency" in checks:
-        theorems["tangency"] = scan("tangency", example36.tangency_scan)
-
-    out, ok = verify.run_checks(B, manifest, checks, coverage)
-    out["timings_ms"].update(timings)
-    out.update(theorems)
-    out["config"] = {"command": "verify", "bundle": args.bundle,
-                     "checks": checks}
-    out["verified"] = ok = bool(ok and proved)
-    _emit(out, args.report)
+        report["tangency"] = timed("tangency", example36.tangency_scan,
+                                   bundle, theorem=True)
+    if "blocking" in checks or "minimal" in checks:
+        report["blocking"] = {
+            "total": int(coverage.space.n_points),
+            "uncovered": coverage.uncovered_sample,
+            "uncovered_total": coverage.uncovered_total,
+            "blocking": coverage.blocking,
+        }
+        ok &= "blocking" not in checks or coverage.blocking
+    if "minimal" in checks:
+        mres = timed("minimality", verify.minimality_check, B, coverage)
+        report["minimality"] = {
+            "essential": [{"point": p, "witness": w}
+                          for p, w in mres.essential],
+            "inessential": mres.inessential,
+            "minimal": mres.minimal,
+        }
+        ok &= mres.minimal
+    if "trivial" in checks:
+        report["trivial"] = timed("trivial", verify.triviality_check, B)
+        ok &= not report["trivial"]
+    if "planar" in checks:
+        dim, planar = timed("planar", verify.planarity_check, B)
+        report["planar"] = {"span_dim": dim, "planar": planar}
+        ok &= not planar or B.space.m <= 2
+    report["verified"] = ok = bool(ok)
+    _emit(report, args.report)
     return EXIT_OK if ok else EXIT_FAIL
 
 

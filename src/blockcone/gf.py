@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 # Every kernel indexes the dense q x q tables, so larger fields are refused.
-_MAX_ORDER = 1 << 13
+MAX_ORDER = 1 << 13
 
 
 class FieldError(ValueError):
@@ -86,13 +86,16 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
         if k < 1:
             raise FieldError("degree must be >= 1")
-        if p**k > _MAX_ORDER:
-            raise FieldError(f"GF({p}^{k}) has more than {_MAX_ORDER} "
+        # decided before p is trial-divided or p**k formed: for p >= 2,
+        # p > MAX_ORDER or 2**k > MAX_ORDER is already too many
+        if p >= 2 and (p > MAX_ORDER or k >= MAX_ORDER.bit_length()
+                       or p**k > MAX_ORDER):
+            raise FieldError(f"GF({p}^{k}) has more than {MAX_ORDER} "
                              f"elements, too many for dense tables")
+        if not is_prime(p):
+            raise FieldError(f"{p} is not prime")
         self.p = p
         self.k = k
         self.q = p**k

@@ -87,7 +87,8 @@ def reduce_in_row_space(rref_mat: np.ndarray, pivots, vec: np.ndarray,
 
 
 def meet_row_spaces(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Zassenhaus: RREF basis of the intersection of two row spaces."""
+    """Zassenhaus: RREF basis of the intersection of two row spaces, the
+    right halves of the block's zero-left RREF rows, which are RREF too."""
     ra, ca = A.shape
     rb, _ = B.shape
     blk = np.zeros((ra + rb, 2 * ca), dtype=np.int64)
@@ -96,8 +97,4 @@ def meet_row_spaces(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarra
     blk[ra:, :ca] = B
     R, _ = rref(blk, field)
     left_zero = ~R[:, :ca].any(axis=1)
-    inter = R[left_zero][:, ca:]
-    if inter.size == 0:
-        return np.zeros((0, ca), dtype=np.int64)
-    M, _ = rref(inter, field)
-    return M
+    return R[left_zero][:, ca:]

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pg
-from .gf import FieldTower, cached_tower
+from .gf import MAX_ORDER, FieldError, FieldTower, cached_tower
 from .pg import GeometryError, ProjSpace, Subspace
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e and e >= 1; anything else is a GeometryError."""
+    """(p, e) with q = p^e and e >= 1; anything else is a GeometryError.  q
+    is a field order, so above the field bound it is refused at once."""
+    if q > MAX_ORDER:
+        raise FieldError(f"order {q} is above {MAX_ORDER}, too many elements "
+                         f"for dense tables")
     if q >= 2:
         # the least divisor above 1 is prime
         p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
@@ -121,12 +125,10 @@ class BCModel:
         v = np.asarray(vecs, dtype=np.int64)
         if np.any(v[:, -1] == 0):
             raise GeometryError("point of Sigma passed as affine")
-        sub = self.tower.sub
-        scale = sub.inv_table[v[:, -1]]
-        v = sub.mul_table[scale[:, None], v]
+        # reconstitution is GF(q1)-linear: no scaling before normalizing
         blocks = v[:, : self.r * self.n].reshape(-1, self.r, self.n)
         big = self.tower.reconstitute(blocks)  # (N, r)
-        out = np.concatenate([big, np.ones((len(big), 1), dtype=np.int64)], axis=1)
+        out = np.concatenate([big, self.tower.embedding[v[:, -1:]]], axis=1)
         return pg.normalize_batch(self.pi_space, out)
 
     def spread_to_pg_vec(self, index: int) -> np.ndarray:

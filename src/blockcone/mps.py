@@ -103,32 +103,26 @@ class MPSFrame:
 
 def frame_make(model: BCModel, s: int, seed: int = 0,
                through: Subspace | None = None) -> MPSFrame:
-    """Deterministic frame: Omega spans the first s+1 independent points of X;
-    Gamma is cut out of Sigma by greedily chosen least-rank hyperplane forms
+    """Deterministic frame: Omega spans X's first s+1 independent points in
+    rank order, the span of the last s+1 rows of X's RREF matrix; Gamma is
+    cut out of Sigma by greedily chosen least-rank hyperplane forms
     vanishing on `through` (a subspace of Sigma, empty by default), each
     stripping one dimension off the remaining Omega part; Gamma' extends
     Gamma by the least-rank affine point.  The seed rotates search starts,
     so consecutive seeds can give the same frame: on (q1, n, r, s) =
     (2, 2, 2, 0) seeds 1 and 2, 3 and 4, ... coincide.
 
-    The forms vanishing on `through` are c @ K for K its RREF kernel basis
-    and c over the canonical coefficient vectors, walked lazily in rank
-    order: the map keeps rank order (`Subspace.point_vecs`)."""
+    X's points are c @ X.mat, and the forms vanishing on `through` are
+    c @ K for K its RREF kernel basis, with c over the canonical coefficient
+    vectors in rank order: the map keeps rank order (`Subspace.point_vecs`).
+    So X's least-rank points have c supported on the last rows, and the
+    forms are walked lazily."""
     if not (0 <= s <= model.n - 2):
         raise GeometryError("need 0 <= s <= n-2")
     if through is None:
         through = Subspace.empty(model.sigma_prime)
     rn = model.r * model.n
-    xp = model.X.point_vecs()
-    rows = [xp[0]]
-    for v in xp[1:]:
-        if len(rows) == s + 1:
-            break
-        cand = span_in(model.sigma_prime, rows + [v])
-        if cand.dim == len(rows):
-            rows.append(v)
-    omega = span_in(model.sigma_prime, rows)
-    assert omega.dim == s
+    omega = span_in(model.sigma_prime, model.X.mat[-(s + 1):])
 
     sint = ProjSpace(rn - 1, model.tower.sub)
     omega_int = Subspace(sint, omega.mat[:, :rn])

@@ -31,8 +31,6 @@ tangent.  `blocking_check` keeps the counts, saturated at 255, and the
 tangents on its `CoverageResult`, and `minimality_check` only reads the
 tangents.  Saturation is safe: blocking needs `>= 1`, and the tangents are
 found on the exact counts.
-
-`run_checks` is the one builder of a verify report and of its verdict.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ class CoverageResult:
     uncovered_total: int
     uncovered_sample: list[int]
     checksum: int
-    elapsed_ms: float
     tangents: np.ndarray  # per point in rank order, its least tangent or -1
 
     @property
@@ -76,7 +73,6 @@ class CoverageResult:
 class MinimalityResult:
     essential: list[tuple[int, int]]  # (point rank, tangent hyperplane rank)
     inessential: list[int]
-    elapsed_ms: float
 
     @property
     def minimal(self) -> bool:
@@ -232,7 +228,6 @@ def blocking_check(ps: PointSet) -> CoverageResult:
     uint8 counter, which is checked against the memory budget before it is
     allocated.  The same walk counts the uncovered hyperplanes, samples the
     first 32 of them, and finds each point's least tangent."""
-    t0 = time.perf_counter()
     space = ps.space
     pg.check_budget(space.n_points, f"a hyperplane counter over {space}")
     counts = np.zeros(space.n_points, dtype=np.uint8)
@@ -252,7 +247,6 @@ def blocking_check(ps: PointSet) -> CoverageResult:
         uncovered_total=uncovered_total,
         uncovered_sample=sample,
         checksum=hash(ps),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         tangents=tiles.best,
     )
 
@@ -263,12 +257,10 @@ def minimality_check(ps: PointSet, coverage: CoverageResult) -> MinimalityResult
     `blocking_check`'s walk found."""
     if coverage.checksum != hash(ps):
         raise ValueError("coverage array does not belong to this point set")
-    t0 = time.perf_counter()
     best = coverage.tangents
     essential = [(int(r), int(w)) for r, w in zip(ps.ranks, best) if w >= 0]
     inessential = [int(r) for r, w in zip(ps.ranks, best) if w < 0]
-    return MinimalityResult(essential, inessential,
-                            (time.perf_counter() - t0) * 1e3)
+    return MinimalityResult(essential, inessential)
 
 
 def naive_coverage(ps: PointSet) -> np.ndarray:
@@ -334,46 +326,3 @@ def planarity_check(ps: PointSet) -> tuple[int, bool]:
         raise ValueError("empty point set")
     S = span_in(ps.space, ps.vecs())
     return S.dim, S.dim <= 2
-
-
-def run_checks(ps: PointSet, manifest: dict, checks,
-               coverage: CoverageResult | None = None) -> tuple[dict, bool]:
-    """The report of the named checks on ps, and its verdict: blocking,
-    minimal, not trivial and, in a space of dimension > 2, not planar, as
-    far as those checks were asked for.  `coverage` is ps's count, if taken."""
-    timings: dict = {}
-    out = {"manifest": manifest, "space": repr(ps.space),
-           "sizes": {"set": len(ps)}, "timings_ms": timings}
-    ok = True
-    if "blocking" in checks or "minimal" in checks:
-        coverage = coverage or blocking_check(ps)
-        out["blocking"] = {
-            "total": int(coverage.space.n_points),
-            "uncovered": coverage.uncovered_sample,
-            "uncovered_total": coverage.uncovered_total,
-            "blocking": coverage.blocking,
-        }
-        ok &= "blocking" not in checks or coverage.blocking
-    if coverage:
-        timings["blocking"] = round(coverage.elapsed_ms, 3)
-    if "minimal" in checks:
-        mres = minimality_check(ps, coverage)
-        out["minimality"] = {
-            "essential": [{"point": p, "witness": w} for p, w in mres.essential],
-            "inessential": mres.inessential,
-            "minimal": mres.minimal,
-        }
-        timings["minimality"] = round(mres.elapsed_ms, 3)
-        ok &= mres.minimal
-    if "trivial" in checks:
-        t0 = time.perf_counter()
-        out["trivial"] = triviality_check(ps)
-        timings["trivial"] = round((time.perf_counter() - t0) * 1e3, 3)
-        ok &= not out["trivial"]
-    if "planar" in checks:
-        t0 = time.perf_counter()
-        dim, planar = planarity_check(ps)
-        out["planar"] = {"span_dim": dim, "planar": planar}
-        timings["planar"] = round((time.perf_counter() - t0) * 1e3, 3)
-        ok &= not planar or ps.space.m <= 2
-    return out, ok

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -487,6 +488,33 @@ def test_non_prime_power_order_exits_2(argv, capsys):
     assert "not a prime power" in capsys.readouterr().err
 
 
+_BIG_PRIME = str(2**61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ff", "--p", _BIG_PRIME, "--k", "1"],
+    ["ff", "--p", "2", "--k", "1000000000"],
+    ["construct", "example36", "--q", _BIG_PRIME],
+    ["search", "fblocking", "--q1", _BIG_PRIME, "--n", "2", "--r", "2",
+     "--s", "0", "--max-size", "3"],
+    ["search", "fblocking", "--q1", "2", "--n", "1000000000", "--r", "2",
+     "--s", "0", "--max-size", "3"],
+    ["verify", "--bundle", "BUNDLE"],
+])
+def test_field_orders_above_8192_fail_fast(argv, tmp_path, capsys):
+    # refused before any trial division or power is formed: each of these
+    # ran for seconds or more when the bound was checked last
+    bundle = tmp_path / "big.json"
+    bundle.write_text(json.dumps({"kind": "mps", "manifest": {
+        "q1": 2**61 - 1, "n": 2, "r": 2}, "B": [0]}))
+    argv = [str(bundle) if a == "BUNDLE" else a for a in argv]
+    t0 = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "8192" in err[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "mps", "--q1", "2", "--n", "2", "--r", "2", "--s", "0",
      "--xprime-index", "2", "--bbar", "unused.txt"],
@@ -555,18 +583,31 @@ def test_reports_are_deterministic(tmp_path):
                     "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    # verify reports: identical after dropping wall-clock timings
-    reps = []
-    for i in range(2):
-        rep = tmp_path / f"v{i}.json"
-        assert run(["verify", "--bundle", str(tmp_path / "d0.json"),
-                    "--checks", "blocking,trivial", "--report",
-                    str(rep)]) == 0
+    # verify reports: identical after dropping wall-clock timings and the
+    # bundle path
+    def report(bundle, checks, code):
+        rep = tmp_path / "v.json"
+        assert run(["verify", "--bundle", str(bundle), "--checks", checks,
+                    "--report", str(rep)]) == code
         data = json.loads(rep.read_text())
         data.pop("timings_ms")
         data["config"].pop("bundle")
-        reps.append(json.dumps(data, sort_keys=True))
+        return json.dumps(data, sort_keys=True)
+
+    reps = [report(tmp_path / "d0.json", "blocking,trivial", 0)
+            for _ in range(2)]
     assert reps[0] == reps[1]
+    # and pinned: the full report of the bundle, and of the bundle with B
+    # less its first rank, by the sha256 prefix of their canonical JSON
+    data = json.loads(outs[0])
+    data["B"] = data["B"][1:]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data))
+    checks = "blocking,minimal,trivial,planar,spectrum,tangency"
+    for bundle, code, pin in [(tmp_path / "d0.json", 0, "7f3c0d78b789d2d5"),
+                              (tampered, 1, "89fc4bfd10be4a4e")]:
+        text = report(bundle, checks, code)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin
 
 
 def test_readme_cli_block_parses():

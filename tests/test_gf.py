@@ -140,6 +140,11 @@ def test_fields_above_8192_elements_are_refused():
         FieldSpec(2, 14)
     with pytest.raises(FieldError):
         FieldSpec(8209, 1)
+    # refused before p is trial-divided or p**k is formed: 2^61 - 1 is prime
+    with pytest.raises(FieldError, match="8192"):
+        FieldSpec(2**61 - 1, 1)
+    with pytest.raises(FieldError, match="8192"):
+        FieldSpec(2, 10**9)
     assert FieldSpec(2, 13).q == 8192
 
 

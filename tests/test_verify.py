@@ -1,12 +1,13 @@
 """Certification engine against the naive double-loop oracle."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blockcone import pg, verify
+from blockcone import cli, pg, verify
 from blockcone.gf import cached_field
 from blockcone.linalg import matmul
 from blockcone.pg import PointSet, ProjSpace, Subspace, span_in
@@ -223,13 +224,25 @@ def test_naive_oracle_refuses_large_spaces():
         verify.naive_coverage(PointSet(sp, np.array([0])))
 
 
-def test_run_checks_report_schema():
+def test_verify_report_schema(tmp_path):
+    # a line of PG(2, 4) as an mps bundle, through the CLI's one report
+    # builder
     sp = _space(2, 2, 2)
     ps = _line_set(sp)
-    out, ok = verify.run_checks(ps, {"demo": 1},
-                                ["blocking", "minimal", "trivial", "planar"])
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"kind": "mps",
+                                "manifest": {"q1": 2, "n": 2, "r": 2},
+                                "B": ps.ranks.tolist()}))
+
+    def report(checks):
+        rep = tmp_path / "rep.json"
+        code = cli.main(["verify", "--bundle", str(path), "--checks", checks,
+                         "--report", str(rep)])
+        return json.loads(rep.read_text()), code == 0
+
+    out, ok = report("blocking,minimal,trivial,planar")
     assert ok is False  # trivial
-    assert out["manifest"] == {"demo": 1}
+    assert out["manifest"] == json.loads(path.read_text())["manifest"]
     assert out["sizes"]["set"] == len(ps)
     assert out["blocking"]["total"] == sp.n_points
     assert out["blocking"]["uncovered"] == []
@@ -238,7 +251,7 @@ def test_run_checks_report_schema():
     assert out["planar"]["span_dim"] == 1
     assert "timings_ms" in out
     # planar is no failure in a plane
-    out, ok = verify.run_checks(ps, {}, ["blocking", "minimal", "planar"])
+    out, ok = report("blocking,minimal,planar")
     assert ok is True and out["planar"]["planar"] is True
 
 
