@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import pg, verify
+from . import gf, pg, verify
 from .gf import cached_field, is_prime, subfield_embed
 from .linalg import kernel_basis, matmul, rref
 from .model import BCModel, make_model, prime_power
@@ -600,24 +600,24 @@ def tangency_scan(bundle: Bundle) -> dict:
 def mps_excluder(size: int, p: int, e: int) -> dict:
     """For every factorization 6e = n*t with n >= 2, test the necessary
     divisibility p^(t(n-1)) | size - 1 of a cone-over-hyperplane-blocking-set
-    of that shape; 'excluded' iff every factorization fails."""
+    of that shape; 'excluded' iff every factorization fails.  q = p^e is a
+    field order, so above the field bound it is refused at once."""
     if size < 2:
         raise GeometryError("size must be >= 2")
     if e < 1:
         raise GeometryError("e must be >= 1")
+    if p >= 2 and gf.above_max_order(p, e):
+        raise GeometryError(f"{p}^{e} exceeds the field bound {gf.MAX_ORDER}")
     if not is_prime(p):
         raise GeometryError(f"{p} is not prime")
-    admissible = []
     tried = []
     for n in range(2, 6 * e + 1):
-        if (6 * e) % n:
-            continue
-        t = 6 * e // n
-        passes = (size - 1) % p ** (t * (n - 1)) == 0
-        tried.append({"n": n, "t": t, "divisor": p ** (t * (n - 1)),
-                      "divides": passes})
-        if passes:
-            admissible.append((n, t))
+        if (6 * e) % n == 0:
+            t = 6 * e // n
+            divisor = p ** (t * (n - 1))
+            tried.append({"n": n, "t": t, "divisor": divisor,
+                          "divides": (size - 1) % divisor == 0})
+    admissible = [(f["n"], f["t"]) for f in tried if f["divides"]]
     return {"size": size, "p": p, "e": e, "factorizations": tried,
             "excluded": not admissible, "admissible": admissible}
 

@@ -21,6 +21,11 @@ class FieldError(ValueError):
     pass
 
 
+def above_max_order(p: int, k: int) -> bool:
+    """p^k > MAX_ORDER for p >= 2, without forming p**k for a huge k."""
+    return p > MAX_ORDER or k >= MAX_ORDER.bit_length() or p**k > MAX_ORDER
+
+
 def _digit_rows(count: int, base: int, width: int) -> np.ndarray:
     """(count, width) int64 base-`base` digits of 0..count-1, least
     significant first."""
@@ -88,10 +93,7 @@ class FieldSpec:
     def __init__(self, p: int, k: int):
         if k < 1:
             raise FieldError("degree must be >= 1")
-        # decided before p is trial-divided or p**k formed: for p >= 2,
-        # p > MAX_ORDER or 2**k > MAX_ORDER is already too many
-        if p >= 2 and (p > MAX_ORDER or k >= MAX_ORDER.bit_length()
-                       or p**k > MAX_ORDER):
+        if p >= 2 and above_max_order(p, k):
             raise FieldError(f"GF({p}^{k}) has more than {MAX_ORDER} "
                              f"elements, too many for dense tables")
         if not is_prime(p):

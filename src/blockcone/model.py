@@ -57,10 +57,6 @@ class Spread:
         return self.tower.n
 
     @property
-    def sigma_space(self) -> ProjSpace:
-        return ProjSpace(self.r * self.n - 1, self.tower.sub)
-
-    @property
     def big_space(self) -> ProjSpace:
         return ProjSpace(self.r - 1, self.tower.sup)
 

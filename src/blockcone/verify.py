@@ -23,14 +23,13 @@ and d = g_j + sum of prefix_i.g_i.  So a point meets a tile
 
 A tile's counts are one add-table gather and one `np.bincount` over the cells
 of all points.  A point's least tangent (the least hyperplane through it of
-count 1) is found in the same walk, by a second bincount of the same cells
-weighted by i + 1 for point i: on a count-1 cell the sum is its one point's
-weight, exactly, the sums being integers far below 2^53.  The batches come
-complete and in rank order, so a point's first count-1 cell is its least
-tangent.  `blocking_check` keeps the counts, saturated at 255, and the
-tangents on its `CoverageResult`, and `minimality_check` only reads the
-tangents.  Saturation is safe: blocking needs `>= 1`, and the tangents are
-found on the exact counts.
+count 1) is found in the same walk: while a point has none, its cells in the
+batch are kept, and once the batch's count is complete its first count-1
+cell, in rank order, is its least tangent.  The batches come complete and in
+rank order, so that cell is the least of all.  `blocking_check` keeps the
+counts, saturated at 255, and the tangents on its `CoverageResult`, and
+`minimality_check` only reads the tangents.  Saturation is safe: blocking
+needs `>= 1`, and the tangents are found on the exact counts.
 """
 
 from __future__ import annotations
@@ -49,9 +48,10 @@ _SAT = 255
 _UNCOVERED_SAMPLE = 32
 _SCAN_CHUNK = 1 << 20
 # cells gathered per batch of tiles; one tile's q^2 cells against up to four
-# times as many gathered cells are always allowed.  Also the pairs per block
-# of `triviality_check`.
+# times as many gathered cells are always allowed, up to `_MAX_CELLS`.  Also
+# the pairs per block of `triviality_check`.
 _BATCH = 1 << 16
+_MAX_CELLS = 1 << 24  # 128 MiB of int64 cells per gather
 _HEARTBEAT_S = 5.0
 
 
@@ -103,7 +103,7 @@ class _Tiles:
         # place and the bincount casts nothing.
         self.step = f.mul_table[np.arange(Q)[:, None], self.g[self.diag, m - 1]]
         self.add = f.add_table.ravel().astype(np.int64)
-        cap = max(_BATCH, 4 * Q * Q)
+        cap = min(max(_BATCH, 4 * Q * Q), _MAX_CELLS)
         self.chunk = max(1, cap // Q)  # diagonal points per gather
         self.tiles = max(1, cap // (Q * max(min(len(v), self.chunk), Q)))
 
@@ -171,31 +171,37 @@ class _Tiles:
 
     def _sum(self, lo: int, n: int, parts) -> np.ndarray:
         """The int64 counts over the n cells from rank lo, summed over
-        `parts` as `_parts` gives them (the first has one cell per index);
-        while a point has no tangent, also the weighted sums that name the
-        tangents, as `counts` describes."""
-        weigh = (self.best < 0).any()
-        out = None
+        `parts` as `_parts` gives them (the first has one cell per index).
+        The points without a tangent keep their cells, one column each in
+        rank order, and take their first count-1 cell once the sum is done."""
+        cnt, kept = None, []
         for ix, idx, per in parts:
             bins = n // per
-            tally = [np.bincount(ix.ravel(), minlength=bins)[:bins]]
-            if weigh:
-                w = np.broadcast_to(idx + 1.0, ix.shape).ravel()
-                # float64 also when ix is empty, where bincount gives int64
-                tally.append(np.bincount(ix.ravel(), w, minlength=bins)[:bins]
-                             .astype(np.float64, copy=False))
-            if out is None:
-                out = tally
-                continue
-            for o, t in zip(out, tally):
-                o.reshape(-1, per)[:] += t[:, None]
-        cnt = out[0]
-        if weigh:
-            one = np.flatnonzero(cnt == 1)
-            pts, first = np.unique((out[1][one] - 1).astype(np.int64),
-                                   return_index=True)
-            new = self.best[pts] < 0
-            self.best[pts[new]] = lo + one[first[new]]
+            tally = np.bincount(ix.ravel(), minlength=bins)[:bins]
+            if cnt is None:
+                cnt = tally
+            else:
+                cnt.reshape(-1, per)[:] += tally[:, None]
+            todo = self.best[idx] < 0
+            if todo.any():
+                kept.append((ix[..., todo].reshape(-1, todo.sum()),
+                             idx[todo], per))
+        if kept:  # the count-1 cells; cell n stands for a whole point's d != 0
+            one = np.zeros(n + 1, dtype=bool)
+            np.equal(cnt, 1, out=one[:n])
+        for ix, idx, per in kept:
+            if per > 1:
+                # each block is searched once, and stands for its first
+                # count-1 cell, or its first cell if it has none
+                blocks, inv = np.unique(ix, return_inverse=True)
+                rows = one[:n].reshape(-1, per)[blocks[blocks < n // per]]
+                first = blocks * per
+                first[:len(rows)] += rows.argmax(axis=1)
+                ix = first[inv].reshape(ix.shape)
+            hit = one[ix]
+            row, col = hit.argmax(axis=0), np.arange(ix.shape[1])
+            done = hit[row, col]
+            self.best[idx[done]] = lo + ix[row, col][done]
         return cnt
 
     def counts(self):
@@ -203,19 +209,15 @@ class _Tiles:
         each from `_sum`.  Before a batch is yielded, `best` takes each
         point's least tangent in it, if the point has none yet: per point,
         the least hyperplane rank through it of count 1, or -1 while none
-        is found.  While a point has none, a second bincount of the same
-        cells, weighted by i + 1 for point i, names the one point on each
-        count-1 cell: the sum there is that point's weight, exact in float64
-        (each sum is an integer below |points|^2, far below 2^53).  A
-        batch's cells are in rank order, so the first count-1 cell naming a
-        point is its least tangent."""
+        is found.  A point's cells in a batch are in rank order (a diagonal
+        point's one cell per tile and row, a row point's rows, a whole
+        point's tiles with d = 0), so its first count-1 cell is its least
+        tangent there.  Once every point has one, only the count runs."""
         Q = self.space.q
         self.best = np.full(len(self.g), -1, dtype=np.int64)
         # whole points lie on every hyperplane of the low tile
-        low = [(self.low, self.single, 1)]
-        if self.whole.size:
-            low.append((np.zeros(self.whole.size, dtype=np.int64),
-                        self.whole, Q + 1))
+        low = [(self.low, self.single, 1),
+               (np.zeros(self.whole.size, dtype=np.int64), self.whole, Q + 1)]
         yield 0, self._sum(0, Q + 1, low)
         for lo, j, t0, k in self._batches():
             yield lo, self._sum(lo, k * Q * Q, self._parts(j, t0, k))

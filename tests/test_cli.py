@@ -399,6 +399,19 @@ def test_excluder_command(tmp_path, capsys):
         assert run(["excluder", "--size", "213", "--p", "2", "--e", e]) == 2
 
 
+@pytest.mark.parametrize("p,e", [("3", "10000000"),
+                                 ("2305843009213693951", "1"),
+                                 ("3", "2000")])
+def test_excluder_refuses_orders_above_the_field_bound(p, e, capsys):
+    # p^e above 8192 exits 2 before p is trial-divided (2^61 - 1 is prime)
+    # or p^e formed
+    start = time.perf_counter()
+    assert run(["excluder", "--size", "5", "--p", p, "--e", e]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "field bound 8192" in capsys.readouterr().err
+    assert run(["excluder", "--size", "5", "--p", "2", "--e", "13"]) == 0
+
+
 @pytest.fixture(scope="module")
 def mps_flow(tmp_path_factory):
     """The reports of `search fblocking` on (2, 2, 2, 0) up to size 6 and of

@@ -6,7 +6,8 @@ import pytest
 from blockcone import pg
 from blockcone.linalg import matmul
 from blockcone.model import make_model
-from blockcone.pg import GeometryError, Subspace, meet, span, span_in
+from blockcone.pg import GeometryError, ProjSpace, Subspace, meet, span, \
+    span_in
 
 from cone_oracle import bc_to_pg_vec, pg_to_bc
 
@@ -21,10 +22,15 @@ def big():
     return make_model(4, 3, 3)  # PG(3,64) inside PG(9,4)
 
 
+def sigma_space(spread) -> ProjSpace:
+    """Sigma = PG(rn - 1, q1), the space the spread partitions."""
+    return ProjSpace(spread.r * spread.n - 1, spread.tower.sub)
+
+
 def element_point_vecs(spread, index: int) -> np.ndarray:
     """Canonical Sigma-coordinate vectors (length rn) of one element,
     rank-sorted."""
-    return Subspace(spread.sigma_space,
+    return Subspace(sigma_space(spread),
                     spread.element_generators(index)).point_vecs()
 
 
@@ -32,20 +38,20 @@ def test_spread_partitions_sigma_exhaustive(tiny):
     sp = tiny.spread
     seen = []
     for i in range(sp.big_space.n_points):
-        ranks = pg.rank_batch(sp.sigma_space, element_point_vecs(sp, i))
+        ranks = pg.rank_batch(sigma_space(sp), element_point_vecs(sp, i))
         seen.append(ranks)
         assert len(ranks) == (tiny.q1**tiny.n - 1) // (tiny.q1 - 1)
     allr = np.concatenate(seen)
-    assert len(np.unique(allr)) == len(allr) == sp.sigma_space.n_points
+    assert len(np.unique(allr)) == len(allr) == sigma_space(sp).n_points
 
 
 def test_spread_partitions_sigma_q3(tiny):
     m = make_model(3, 2, 2)
     sp = m.spread
-    allr = np.concatenate([pg.rank_batch(sp.sigma_space,
+    allr = np.concatenate([pg.rank_batch(sigma_space(sp),
                                          element_point_vecs(sp, i))
                            for i in range(sp.big_space.n_points)])
-    assert len(np.unique(allr)) == len(allr) == sp.sigma_space.n_points
+    assert len(np.unique(allr)) == len(allr) == sigma_space(sp).n_points
 
 
 def test_spread_elements_pairwise_disjoint_sampled(big):
@@ -66,13 +72,14 @@ def _element_from_all_points(model, index):
     multiple of that point (rank-sorted canonical vectors, and the lifted
     Subspace)."""
     spread = model.spread
+    sigma = sigma_space(spread)
     sup = model.tower.sup
     x = pg.unrank(spread.big_space, index)
     lam = np.arange(1, sup.q)
     vecs = model.tower.coords(sup.mul_table[lam[:, None], x[None, :]])
-    vecs = pg.normalize_batch(spread.sigma_space, vecs.reshape(len(lam), -1))
-    ranks = np.unique(pg.rank_batch(spread.sigma_space, vecs))
-    vecs = pg.unrank_batch(spread.sigma_space, ranks)
+    vecs = pg.normalize_batch(sigma, vecs.reshape(len(lam), -1))
+    ranks = np.unique(pg.rank_batch(sigma, vecs))
+    vecs = pg.unrank_batch(sigma, ranks)
     lifted = np.hstack([vecs, np.zeros((len(vecs), 1), dtype=np.int64)])
     return vecs, Subspace(model.sigma_prime, lifted)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blockcone import cli, pg, verify
+from blockcone import cli, example36, pg, verify
 from blockcone.gf import cached_field
 from blockcone.linalg import matmul
 from blockcone.pg import PointSet, ProjSpace, Subspace, span_in
@@ -327,21 +327,28 @@ def test_tile_batches_are_invisible(m, p, k, size, monkeypatch):
     assert np.array_equal(cov.counts, base.counts)
     split = verify.minimality_check(ps, cov).essential
     assert split == wit.essential
-    # and against the oracle: a tile's weighted sums add up over the chunks
+    # and against the oracle: a tile's tangents are read from its count
+    # summed over all its chunks
     naive = _least_tangents_naive(ps, verify.naive_coverage(ps))
     assert split == [(int(r), w) for r, w in zip(ps.ranks, naive) if w >= 0]
 
 
-def test_split_batches_name_every_tangent(monkeypatch):
-    # the random sets above have no tangents.  The elliptic quadric
-    # x0.x1 + x2^2 - 3.x3^2 = 0 of PG(3, 7) (GF(7) is the integers mod 7)
-    # has 50 points, each on exactly one tangent plane, all past the low
-    # tile.  With the smallest batch its 42 diagonal points take two gathers
-    # per tile, so a tile's weighted sums add up over both
+def _quadric_pg3_7() -> PointSet:
+    """The 50 points of the elliptic quadric x0.x1 + x2^2 - 3.x3^2 = 0 of
+    PG(3, 7) (GF(7) is the integers mod 7)."""
     sp = _space(3, 7, 1)
     v = pg.unrank_batch(sp, np.arange(sp.n_points))
     form = v[:, 0] * v[:, 1] + v[:, 2] ** 2 - 3 * v[:, 3] ** 2
-    ps = PointSet(sp, np.flatnonzero(form % 7 == 0))
+    return PointSet(sp, np.flatnonzero(form % 7 == 0))
+
+
+def test_split_batches_name_every_tangent(monkeypatch):
+    # the random sets above have no tangents.  The elliptic quadric has 50
+    # points, each on exactly one tangent plane, all past the low tile.
+    # With the smallest batch its 42 diagonal points take two gathers per
+    # tile, so a tile's tangents are read from its count over both
+    ps = _quadric_pg3_7()
+    sp = ps.space
     monkeypatch.setattr(verify, "_BATCH", 1)
     tiles = verify._Tiles(sp, ps.vecs())
     assert tiles.tiles == 1 and tiles.chunk < len(tiles.diag)
@@ -349,6 +356,53 @@ def test_split_batches_name_every_tangent(monkeypatch):
     naive = _least_tangents_naive(ps, verify.naive_coverage(ps))
     assert len(ps) == 50 and min(naive) > sp.q
     assert verify.blocking_check(ps).tangents.tolist() == naive
+
+
+def test_cell_cap_bounds_every_gather(monkeypatch):
+    # a cap below 4 q^2 cells, as at q = 4 (4 q^2 int64 cells are 512 MiB),
+    # gives fewer diagonal points per gather: no gather holds more cells
+    # than the cap, and the counts and tangents do not change.  Each point
+    # of the quadric has a tangent
+    ps = _quadric_pg3_7()
+    sp = ps.space
+    base = verify.blocking_check(ps)
+    sizes = []
+
+    class Counted(verify._Tiles):
+        def _parts(self, *args):
+            for ix, idx, per in super()._parts(*args):
+                sizes.append(ix.size if per == 1 else 0)
+                yield ix, idx, per
+
+    monkeypatch.setattr(verify, "_Tiles", Counted)
+    monkeypatch.setattr(verify, "_MAX_CELLS", 4 * sp.q)
+    cov = verify.blocking_check(ps)
+    assert max(sizes) == 4 * sp.q
+    assert np.array_equal(cov.counts, base.counts)
+    assert np.array_equal(cov.tangents, base.tangents)
+    assert (base.tangents >= 0).all()
+
+
+@pytest.mark.parametrize("batch", [verify._BATCH, 1])
+def test_nonminimal_set_tangents_are_least_count_one_ranks(batch,
+                                                           monkeypatch):
+    # the q = 2 seed-0 B plus its first point (1, a, 0, 0) off B, one with
+    # v_2 = v_3 = 0: that point lies on no tangent, since B blocks every hyperplane through it,
+    # so it stays open to the last batch; a point of B whose tangents all
+    # passed through it would lose them
+    B = example36.example_build(2, 0).B
+    sp = B.space
+    extra = next(r for a in range(sp.q)
+                 for r in [pg.rank_of(sp, [1, a, 0, 0])] if r not in B)
+    ps = PointSet(sp, np.append(B.ranks, extra))
+    monkeypatch.setattr(verify, "_BATCH", batch)
+    cov = verify.blocking_check(ps)
+    assert cov.blocking
+    for v, best in zip(ps.vecs(), cov.tangents):
+        hyps = pg.incident_dual_ranks(sp, v)
+        ones = hyps[cov.counts[hyps] == 1]
+        assert best == (ones[0] if ones.size else -1)
+    assert verify.minimality_check(ps, cov).inessential == [extra]
 
 
 def test_tiles_recount_pg3_729():
